@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
 #include "engine/plan_io.hpp"
 #include "tune/tuner.hpp"
 
@@ -23,9 +23,9 @@ using namespace alf::bench;
 namespace {
 
 /// Multiply-adds of one image under the compiled plan (conv + linear).
-double plan_madds(const Engine& eng) {
+double plan_madds(const Plan& plan) {
   double madds = 0.0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan.steps()) {
     if (st.kind == OpKind::kConv)
       madds += static_cast<double>(st.w.dim(0)) * st.w.dim(1) *
                st.geom.col_cols();
@@ -112,18 +112,18 @@ int main(int argc, char** argv) {
       Tensor x = random_input({batch, mc.in_channels, s.hw, s.hw}, rng);
       for (const int t : threads) {
         set_parallel_threads(t);
-        Engine eng =
-            Engine::compile(*mut.model, batch, mc.in_channels, s.hw, s.hw);
-        Tensor out({batch, eng.classes()});
+        ExecContext ctx(
+            Plan::compile(*mut.model, batch, mc.in_channels, s.hw, s.hw));
+        Tensor out({batch, ctx.plan().classes()});
         // Untimed warmup round for both paths.
         mut.model->forward(x, false);
-        eng.run(x, out);
+        ctx.run(x, out);
         const double layers_ms =
             time_ms(reps, [&] { mut.model->forward(x, false); });
-        const double engine_ms = time_ms(reps, [&] { eng.run(x, out); });
+        const double engine_ms = time_ms(reps, [&] { ctx.run(x, out); });
         const double speedup = layers_ms / engine_ms;
-        const double gmadds =
-            plan_madds(eng) * static_cast<double>(batch) / (engine_ms * 1e6);
+        const double gmadds = plan_madds(ctx.plan()) *
+                              static_cast<double>(batch) / (engine_ms * 1e6);
         if (std::strcmp(mut.name, "resnet20") == 0 && batch == 32 &&
             t == hw_threads)
           resnet_b32_speedup = speedup;
@@ -216,13 +216,11 @@ int main(int argc, char** argv) {
       EngineOptions tuned_opts = heur_opts;
       tuned_opts.tune = TuneMode::kCached;
       tuned_opts.algo_cache = cache_file.string();
-      Engine heur =
-          Engine::compile(*mut.model, 32, mc.in_channels, s.hw, s.hw,
-                          heur_opts);
-      Engine tuned =
-          Engine::compile(*mut.model, 32, mc.in_channels, s.hw, s.hw,
-                          tuned_opts);
-      Tensor out({32, heur.classes()});
+      ExecContext heur(Plan::compile(*mut.model, 32, mc.in_channels, s.hw,
+                                     s.hw, heur_opts));
+      ExecContext tuned(Plan::compile(*mut.model, 32, mc.in_channels, s.hw,
+                                      s.hw, tuned_opts));
+      Tensor out({32, heur.plan().classes()});
       heur.run(x, out);  // warmup both
       tuned.run(x, out);
       const double heur_ms = time_ms(reps, [&] { heur.run(x, out); });

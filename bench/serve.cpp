@@ -1,14 +1,13 @@
 // serve — closed-loop load generator for the batched inference servers.
 //
 // C client threads replay a bursty request stream (mostly small requests
-// back-to-back, occasional think-time gaps) against three serving paths
+// back-to-back, occasional think-time gaps) against two serving paths
 // under the same offered load:
 //
-//   layer-tree : the pre-engine baseline — every request runs its own
-//                Sequential::forward on a per-client model replica
-//   engine     : one shared BatchServer — mutex/CV queue, dynamic batching
-//                up to Engine::batch() images per tick, a single
-//                Engine::run_rows per dispatch
+//   engine     : a one-worker ModelServer hosting the float ResNet-20 —
+//                mutex/CV queue, dynamic batching up to Plan::batch()
+//                images per tick, a single ExecContext::run_rows per
+//                dispatch
 //   multi-model: one ModelServer hosting the float ResNet-20 AND its int8
 //                twin (two shared Plans, per-model queues, weighted
 //                scheduling at --weight-f32/--weight-int8, K workers each
@@ -68,7 +67,6 @@
 #include "kernels/backend.hpp"
 #include "net/server.hpp"
 #include "netload.hpp"
-#include "serve/batch_server.hpp"
 #include "serve/model_server.hpp"
 
 using namespace alf;
@@ -113,8 +111,8 @@ struct LoadResult {
 
 /// Drives the scripted closed loop: each client thread issues its requests
 /// in order, pacing itself against the script's intended schedule
-/// (intended_i = intended_{i-1} + think_i). `serve_one(client, x)` must
-/// block until the request completes. Two latencies per request: service
+/// (intended_i = intended_{i-1} + think_i). `serve_one(x)` must block
+/// until the request completes. Two latencies per request: service
 /// (actual send -> done, what a closed-loop bench traditionally reports,
 /// prone to coordinated omission — a stalled server delays later sends
 /// and the stall never lands in the sample) and response (INTENDED send
@@ -144,7 +142,7 @@ LoadResult run_load(const std::vector<std::vector<PlannedRequest>>& plan,
           std::this_thread::sleep_until(intended);
         const Tensor& x = inputs_by_n[r.n];
         const auto t0 = std::chrono::steady_clock::now();
-        serve_one(c, x);
+        serve_one(x);
         const auto t1 = std::chrono::steady_clock::now();
         lat[c].push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -267,7 +265,7 @@ int run_net_shard(int listen_fd, const Scale& s, size_t max_batch,
       fplan = plan::load(plan_dir + "/resnet20_f32.plan");
       qplan = plan::load(plan_dir + "/resnet20_int8.plan");
     } else {
-      Rng rng(17);  // same seed as the parent's replicas: same weights
+      Rng rng(17);  // same seed as the parent's model: same weights
       auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
       warm_bn(*model, mc.in_channels, s.hw, rng);
       fplan = Plan::compile(*model, max_batch, mc.in_channels, s.hw, s.hw);
@@ -561,14 +559,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One model replica per layer-tree client (forward caches per-layer state,
-  // so replicas keep the baseline race-free); identical weights everywhere
-  // via the fixed seed. The engine compiles from replica 0.
-  std::vector<std::unique_ptr<Sequential>> replicas(clients);
-  for (auto& m : replicas) {
+  // The served model; the shards build the same weights from the same
+  // seed.
+  std::unique_ptr<Sequential> model;
+  {
     Rng rng(17);
-    m = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-    warm_bn(*m, mc.in_channels, s.hw, rng);
+    model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+    warm_bn(*model, mc.in_channels, s.hw, rng);
   }
 
   Rng rng(29);
@@ -586,14 +583,7 @@ int main(int argc, char** argv) {
       clients, per_client, max_batch,
       static_cast<unsigned long long>(max_wait_us), s.name);
 
-  // --- Baseline: per-request layer-tree forward on the client thread. ---
-  for (size_t c = 0; c < clients; ++c)  // untimed warmup
-    replicas[c]->forward(inputs_by_n[1], false);
-  const LoadResult layers = run_load(
-      plan, inputs_by_n,
-      [&](size_t c, const Tensor& x) { replicas[c]->forward(x, false); });
-
-  // --- Engine path: shared BatchServer, dynamic batching. The float plan
+  // --- Engine path: one-worker ModelServer, dynamic batching. The float plan
   // is created ONCE and shared with the multi-model path below (the whole
   // point of the Plan/ExecContext split) — compiled from the model, or
   // with --plan-dir loaded from its alf_planc blob. The compile runs (and
@@ -622,21 +612,22 @@ int main(int argc, char** argv) {
     return loaded;
   };
   const auto t_cf = std::chrono::steady_clock::now();
-  auto fplan =
-      Plan::compile(*replicas[0], max_batch, mc.in_channels, s.hw, s.hw);
+  auto fplan = Plan::compile(*model, max_batch, mc.in_channels, s.hw, s.hw);
   const double compile_f32_ms = dur_ms(t_cf);
   double load_f32_ms = 0.0, blob_f32_kib = 0.0;
   if (!plan_dir.empty())
     fplan = load_blob("resnet20_f32", &load_f32_ms, &blob_f32_kib);
-  BatchServer::Config cfg;
-  cfg.max_wait_us = max_wait_us;
-  BatchServer server(fplan, cfg);
-  server.submit(inputs_by_n[1]).get();  // untimed warmup
-  const ServeStats warm = server.stats();
-  const LoadResult engine = run_load(
-      plan, inputs_by_n,
-      [&](size_t, const Tensor& x) { server.submit(x).get(); });
-  ServeStats st = server.stats();
+  ModelServer server;  // one worker
+  ModelServer::ModelConfig engine_cfg;
+  engine_cfg.max_wait_us = max_wait_us;
+  server.add_model(kF32, fplan, engine_cfg);
+  server.start();
+  server.submit(kF32, inputs_by_n[1]).get();  // untimed warmup
+  const ServeStats warm = server.stats(kF32);
+  const LoadResult engine =
+      run_load(plan, inputs_by_n,
+               [&](const Tensor& x) { server.submit(kF32, x).get(); });
+  ServeStats st = server.stats(kF32);
   server.stop();
   st.batches -= warm.batches;  // exclude the warmup dispatch
   st.requests -= warm.requests;
@@ -645,11 +636,9 @@ int main(int argc, char** argv) {
   // --- Multi-model path: ModelServer hosting the float net + its int8
   // twin on a shared worker pool (one ExecContext per worker per plan),
   // weighted scheduling between the two queues. ---
-  const char* kF32 = "resnet20_f32";
-  const char* kInt8 = "resnet20_int8";
   const auto t_cq = std::chrono::steady_clock::now();
-  auto qplan = Plan::compile(*replicas[0], max_batch, mc.in_channels, s.hw,
-                             s.hw, {.backend = "int8", .bits = 8, .name = ""});
+  auto qplan = Plan::compile(*model, max_batch, mc.in_channels, s.hw, s.hw,
+                             {.backend = "int8", .bits = 8, .name = ""});
   const double compile_int8_ms = dur_ms(t_cq);
   double load_int8_ms = 0.0, blob_int8_kib = 0.0;
   if (!plan_dir.empty())
@@ -693,7 +682,6 @@ int main(int argc, char** argv) {
                    Table::fmt(pct(r.latencies_ms, 0.999), 3),
                    Table::fmt(r.images_per_s, 0)});
   };
-  add("layer tree", layers);
   add("engine+batching", engine);
   add("multi f32", mixed.per_model[0]);
   add("multi int8", mixed.per_model[1]);
@@ -709,11 +697,6 @@ int main(int argc, char** argv) {
       "%.1f/%zu images, %zu full batches, max fill %zu\n",
       st.batches, st.requests, st.images, st.avg_fill(), max_batch,
       st.full_batches, st.max_fill);
-  const double p50_layers = percentile(layers.latencies_ms, 0.50);
-  const double p50_engine = percentile(engine.latencies_ms, 0.50);
-  std::printf("engine-path p50 %.3fms vs layer-tree p50 %.3fms (%s)\n",
-              p50_engine, p50_layers,
-              p50_engine <= p50_layers ? "OK: no worse" : "SLOWER");
 
   BenchJson json("serve", s.name);
   // Both latency views on every closed-loop row (the CO fix): service
@@ -735,12 +718,6 @@ int main(int argc, char** argv) {
         "net/open_loop/* rows: Poisson arrivals drawn ahead of time; "
         "latency measured from the intended arrival instant";
   }
-  BenchRow& lt = json.row("layer_tree/per_request");
-  lt.wall_ms = p50_layers;
-  lt.extra["p95_ms"] = percentile(layers.latencies_ms, 0.95);
-  lt.extra["p99_ms"] = percentile(layers.latencies_ms, 0.99);
-  lt.extra["images_per_s"] = layers.images_per_s;
-  co_extras(lt, layers);
   // The policy string carries quotes on purpose: the JSON writer must
   // escape row names or the trajectory diff breaks (see json_escape).
   char name[96];
@@ -748,14 +725,13 @@ int main(int argc, char** argv) {
                 "engine/policy=\"batch=%zu,max_wait=%lluus\"", max_batch,
                 static_cast<unsigned long long>(max_wait_us));
   BenchRow& en = json.row(name);
-  en.wall_ms = p50_engine;
+  en.wall_ms = percentile(engine.latencies_ms, 0.50);
   en.extra["p95_ms"] = percentile(engine.latencies_ms, 0.95);
   en.extra["p99_ms"] = percentile(engine.latencies_ms, 0.99);
   en.extra["images_per_s"] = engine.images_per_s;
   en.extra["avg_fill"] = st.avg_fill();
   en.extra["full_batches"] = static_cast<double>(st.full_batches);
   en.extra["dispatches"] = static_cast<double>(st.batches);
-  en.extra["speedup_p50_vs_layers"] = p50_layers / p50_engine;
   co_extras(en, engine);
   // Per-model multi-tenant rows + the aggregate. Row names carry the
   // scheduling weight as a quoted policy string (escaping regression

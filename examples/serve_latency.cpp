@@ -1,7 +1,6 @@
-// Serving latency: the layer tree vs direct Engine::run vs the real
-// BatchServer (src/serve/) that wraps it vs a ModelServer hosting the SAME
-// compiled Plan (the multi-tenant registry in its 1-model configuration,
-// 2 shared workers).
+// Serving latency: the layer tree vs a direct ExecContext::run vs a
+// one-worker ModelServer (src/serve/) vs a two-worker ModelServer, all
+// three compiled paths hosting the SAME Plan with one model each.
 //
 // Compiles ResNet-20 once for the maximum batch, then replays the same
 // bursty stream of variable-size requests through all four paths and
@@ -10,15 +9,13 @@
 // a single closed-loop client gains nothing from waiting for batch-mates,
 // so the knob is turned all the way toward latency; the `serve` load
 // generator exercises the batching and multi-model sides under concurrent
-// clients. Note the engine is compiled ONCE: the batch server wraps one
-// Engine and the model server shares its immutable Plan — no duplicated
-// weights anywhere.
+// clients. Note the model is compiled ONCE: the direct context and both
+// servers share its immutable Plan — no duplicated weights anywhere.
 //
 // With --plan <file> the served plan is loaded from an alf_planc blob
 // (engine/plan_io.hpp) instead of compiled — load-once/share-everywhere:
-// the direct engine, the batch server, and the model server all host the
-// one loaded Plan, and the cold-start cost drops from compile work to a
-// checksummed mmap.
+// every path hosts the one loaded Plan, and the cold-start cost drops from
+// compile work to a checksummed mmap.
 //
 //   ./serve_latency [--quick|--full] [--requests N] [--plan <file>]
 #include <chrono>
@@ -29,8 +26,8 @@
 
 #include "bench_common.hpp"
 #include "core/table.hpp"
+#include "engine/exec_context.hpp"
 #include "engine/plan_io.hpp"
-#include "serve/batch_server.hpp"
 #include "serve/model_server.hpp"
 
 using namespace alf;
@@ -77,51 +74,50 @@ int main(int argc, char** argv) {
   // Compile once — or, with --plan, load the blob once; every serving
   // path below shares this single Plan either way.
   const auto t_cold = std::chrono::steady_clock::now();
-  Engine eng = plan_path.empty()
-                   ? Engine::compile(*model, max_batch, mc.in_channels, hw, hw)
-                   : Engine(alf::plan::load(plan_path));
+  const std::shared_ptr<const Plan> plan =
+      plan_path.empty()
+          ? Plan::compile(*model, max_batch, mc.in_channels, hw, hw)
+          : alf::plan::load(plan_path);
   const double cold_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t_cold)
                              .count();
   if (!plan_path.empty() &&
-      (eng.plan()->batch() != max_batch || eng.plan()->in_h() != hw)) {
+      (plan->batch() != max_batch || plan->in_h() != hw)) {
     std::fprintf(stderr,
                  "serve_latency: %s was generated at a different scale "
                  "(batch %zu hw %zu); regenerate with alf_planc\n",
-                 plan_path.c_str(), eng.plan()->batch(), eng.plan()->in_h());
+                 plan_path.c_str(), plan->batch(), plan->in_h());
     return 1;
   }
-  std::printf("%s\n", eng.plan_str().c_str());
+  std::printf("%s\n", plan->str().c_str());
   std::printf("cold start (%s): %.2fms\n\n",
               plan_path.empty() ? "Plan::compile"
                                 : ("plan::load " + plan_path).c_str(),
               cold_ms);
   // Output tensors preallocated per batch size outside the serving loop —
-  // the direct engine path itself performs no allocations.
+  // the direct path itself performs no allocations.
+  ExecContext ctx(plan);
   std::vector<Tensor> outs(max_batch + 1);
   for (const size_t n : sizes)
-    if (outs[n].empty()) outs[n] = Tensor({n, eng.classes()});
+    if (outs[n].empty()) outs[n] = Tensor({n, plan->classes()});
 
-  BatchServer::Config cfg;
-  cfg.max_wait_us = 0;  // lone closed-loop client: dispatch immediately
-  // No recompilation: the batch server hosts the direct engine's Plan.
-  BatchServer server(eng.plan(), cfg);
-
-  // The multi-tenant registry in its simplest configuration: one model —
-  // sharing the direct engine's Plan, not recompiling — on 2 workers.
-  ModelServer::Config ms_cfg;
-  ms_cfg.workers = 2;
-  ModelServer multi(ms_cfg);
-  ModelServer::ModelConfig mm_cfg;
-  mm_cfg.max_wait_us = 0;
-  multi.add_model("resnet20", eng.plan(), mm_cfg);
-  multi.start();
+  // No recompilation: both servers host the direct context's Plan, one on
+  // one worker and one on two.
+  ModelServer::ModelConfig model_cfg;
+  model_cfg.max_wait_us = 0;  // lone closed-loop client: dispatch at once
+  ModelServer::Config two_workers;
+  two_workers.workers = 2;
+  ModelServer one, two(two_workers);
+  for (ModelServer* ms : {&one, &two}) {
+    ms->add_model("resnet20", plan, model_cfg);
+    ms->start();
+  }
 
   Table table("ResNet-20 serving latency over " + std::to_string(requests) +
               " requests (ms)");
   table.set_header({"path", "p50", "p95", "p99", "p99.9", "images/s"});
-  enum Path { kLayers = 0, kEngine = 1, kServer = 2, kMulti = 3 };
-  for (const int path : {kLayers, kEngine, kServer, kMulti}) {
+  enum Path { kLayers = 0, kDirect = 1, kServer1 = 2, kServer2 = 3 };
+  for (const int path : {kLayers, kDirect, kServer1, kServer2}) {
     std::vector<double> lat;
     lat.reserve(requests);
     size_t images = 0;
@@ -133,14 +129,14 @@ int main(int argc, char** argv) {
         case kLayers:
           model->forward(req, false);
           break;
-        case kEngine:
-          eng.run(req, outs[n]);
+        case kDirect:
+          ctx.run(req, outs[n]);
           break;
-        case kServer:
-          server.submit(req).get();
+        case kServer1:
+          one.submit("resnet20", req).get();
           break;
-        case kMulti:
-          multi.submit("resnet20", req).get();
+        case kServer2:
+          two.submit("resnet20", req).get();
           break;
       }
       const auto t1 = std::chrono::steady_clock::now();
@@ -151,10 +147,10 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t_begin)
             .count();
-    table.add_row({path == kLayers   ? "layer tree"
-                   : path == kEngine ? "engine (direct)"
-                   : path == kServer ? "batch server"
-                                     : "model server x2",
+    table.add_row({path == kLayers    ? "layer tree"
+                   : path == kDirect  ? "ExecContext (direct)"
+                   : path == kServer1 ? "ModelServer x1"
+                                      : "ModelServer x2",
                    Table::fmt(percentile(lat, 0.50), 3),
                    Table::fmt(percentile(lat, 0.95), 3),
                    Table::fmt(percentile(lat, 0.99), 3),
@@ -164,8 +160,8 @@ int main(int argc, char** argv) {
                    Table::fmt(percentile(lat, 0.999), 3),
                    Table::fmt(static_cast<double>(images) / total_s, 0)});
   }
-  server.stop();
-  multi.stop();
+  one.stop();
+  two.stop();
   table.print();
   std::printf(
       "\nThe server rows include queue + dispatch overhead; run the "

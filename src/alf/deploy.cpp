@@ -84,11 +84,6 @@ LayerPtr make_deployed_unit(AlfConv& block, Rng& rng) {
   return unit;
 }
 
-Engine compile_deployed(const Sequential& model, size_t batch, size_t in_c,
-                        size_t in_hw) {
-  return Engine::compile(model, batch, in_c, in_hw, in_hw);
-}
-
 float deployment_error(AlfConv& block, const Tensor& input, Rng& rng) {
   LayerPtr deployed = make_deployed_unit(block, rng);
   Tensor a = block.forward(input, /*train=*/false);

@@ -12,7 +12,6 @@
 #include <map>
 
 #include "alf/alf_conv.hpp"
-#include "engine/engine.hpp"
 #include "models/cost.hpp"
 
 namespace alf {
@@ -47,13 +46,6 @@ std::vector<size_t> deployed_filters(const AlfConv& block);
 /// If every code filter was pruned, the single surviving filter with the
 /// largest |mask| is retained so the layer stays functional.
 LayerPtr make_deployed_unit(AlfConv& block, Rng& rng);
-
-/// Compiles a model for batched serving: every AlfConv is lowered to its
-/// deployed dense pair, BatchNorm is folded into the preceding conv, and
-/// the result is a flat plan executing against a preallocated arena (see
-/// engine/engine.hpp). The model may mix plain convs and ALF blocks.
-Engine compile_deployed(const Sequential& model, size_t batch, size_t in_c,
-                        size_t in_hw);
 
 /// Max |output(deployed) - output(block in eval mode)| over a test input —
 /// the structural-consistency check of the deployment stage.

@@ -1,10 +1,9 @@
 // Plan: the immutable half of the compiled-model split.
 //
-// Engine::compile used to weld what was compiled (steps, folded weights,
-// packed/int8 weight blobs, strategy choices, arena layout) to what runs
-// it (one mutable workspace arena). That limits a compiled model to one
-// in-flight batch. The split here mirrors the compiled-blob-vs-execution-
-// context separation every serious inference stack converges on:
+// A compiled model separates what was compiled (steps, folded weights,
+// packed/int8 weight blobs, strategy choices, arena layout) from what runs
+// it (one mutable workspace arena), so one compiled model can serve many
+// in-flight batches:
 //
 //   Plan        — everything Plan::compile produced. Immutable after
 //                 compile and shared via shared_ptr<const Plan>; any
@@ -13,9 +12,18 @@
 //                 run only ever writes its own context.
 //   ExecContext — per-worker storage: arena, im2col/qgemm scratch
 //                 (exec_context.hpp).
-//   Engine      — thin compatibility facade owning one Plan + one
-//                 context (engine.hpp); pre-split call sites compile
-//                 unchanged.
+//
+//   auto plan = Plan::compile(model, batch, in_c, h, w);
+//   ExecContext ctx(plan);
+//   ctx.run(x, logits);   // zero heap allocations per call
+//
+// Compilation walks the model (descending into Sequential and
+// ResidualBlock, and lowering AlfConv blocks to their deployed dense
+// code-conv + 1x1-expansion pair), folds inference-mode BatchNorm into the
+// preceding conv/linear weights and bias, and fuses trailing activations
+// and residual adds into the kernel epilogues. Activation slots of the
+// arena are reused by a linear-scan allocator (ping-pong for straight-line
+// stretches, a third slot across residual shortcuts).
 //
 // The Plan carries not just the step list but the arena *layout* (slot
 // count/stride, scratch offsets, the fixed chunk grid), so every context

@@ -49,10 +49,6 @@ constexpr size_t kMc = 64;   // rows packed per A block (~64KB with kKc)
 constexpr size_t kKc = 256;  // k extent of one block (global grid)
 constexpr size_t kNc = 256;  // cols per B block (kKc x kNc = 256KB in L2)
 
-// Below this many multiply-adds the packing overhead outweighs the wider
-// kernel; delegate to the scalar backend (also covers degenerate shapes).
-constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
-
 // Same per-worker arithmetic floor as the scalar backend.
 constexpr size_t kMaddsPerWorker = size_t{1} << 16;
 
@@ -147,7 +143,11 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
                        const float* pb, size_t ldb, bool trans_b, float* pc,
                        size_t ldc, size_t m, size_t k, size_t n, float alpha,
                        float beta, size_t mc, size_t kc, size_t nc) {
-  if (m * k * n < kScalarCutoffMadds || n < kNr / 2 || k == 0) {
+  // No size-based fallback to the scalar kernel: it rounds differently, so
+  // a cutoff on m * k * n would let one image's logits change with the
+  // batch it shares (m = batch on the classifier GEMM). k == 0 has no
+  // products to round; the scalar path just applies beta.
+  if (k == 0) {
     detail::gemm_scalar(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
                         alpha, beta);
     return;

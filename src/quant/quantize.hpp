@@ -12,8 +12,8 @@
 //   - packed export (quantize_tensor / quantize_view): values are rounded
 //     to the grid and *kept* as int8 panels + scale, feeding the kernel
 //     layer's real int8 qgemm (kernels/backend.hpp) — this is how a
-//     compiled Engine lowers whole conv/linear steps to integer
-//     arithmetic (Engine::compile with backend="int8").
+//     compiled Plan lowers whole conv/linear steps to integer
+//     arithmetic (Plan::compile with backend="int8").
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,5 @@
-// Plan-based inference engine: numerical equivalence with the layer tree,
+// Plan-based inference engine (Plan::compile + ExecContext): numerical
+// equivalence with the layer tree,
 // determinism across thread counts, arena reuse (including a global
 // operator-new counter proving single-chunk runs allocate nothing), and BN
 // folding.
@@ -7,17 +8,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "alf/deploy.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
+#include "engine/plan.hpp"
 #include "grad_check.hpp"
 #include "kernels/backend.hpp"
 #include "models/zoo.hpp"
 
-// Heap instrumentation for Engine::run's zero-allocation contract. The
+// Heap instrumentation for ExecContext::run's zero-allocation contract. The
 // replacement operators serve the whole test binary; counting is gated so
 // only the probed region pays attention.
 namespace {
@@ -79,15 +82,16 @@ TEST(Engine, ResNet20MatchesLayerTree) {
   Tensor x = random_input({5, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
 
-  Engine eng = Engine::compile(*model, /*batch=*/8, mc.in_channels, kHw, kHw);
-  EXPECT_EQ(eng.classes(), mc.classes);
+  auto plan = Plan::compile(*model, /*batch=*/8, mc.in_channels, kHw, kHw);
+  EXPECT_EQ(plan->classes(), mc.classes);
+  ExecContext ctx(plan);
   Tensor out({5, mc.classes});
-  eng.run(x, out);
+  ctx.run(x, out);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   // BN is folded and every ReLU rides a kernel epilogue: the compiled plan
   // contains no standalone normalization or activation steps.
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan->steps()) {
     EXPECT_NE(st.kind, OpKind::kScaleShift) << st.name;
     EXPECT_NE(st.kind, OpKind::kActivation) << st.name;
   }
@@ -103,8 +107,8 @@ TEST(Engine, Plain20MatchesLayerTree) {
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
-  Tensor out = eng.run(x);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
+  Tensor out = ctx.run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 }
 
@@ -127,13 +131,13 @@ TEST(Engine, AlfDeployedModelMatchesEvalForward) {
 
   Tensor x = random_input({3, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = compile_deployed(*model, /*batch=*/4, mc.in_channels, kHw);
-  Tensor out = eng.run(x);
+  auto plan = Plan::compile(*model, /*batch=*/4, mc.in_channels, kHw, kHw);
+  Tensor out = ExecContext(plan).run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   // The plan contains the lowered dense pair per ALF block.
   size_t code_steps = 0, exp_steps = 0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan->steps()) {
     if (st.name.find("_code") != std::string::npos) ++code_steps;
     if (st.name.find("_exp") != std::string::npos) ++exp_steps;
   }
@@ -151,14 +155,14 @@ TEST(Engine, BitIdenticalAcrossThreadCounts) {
   Tensor x = random_input({6, mc.in_channels, kHw, kHw}, rng);
 
   set_parallel_threads(4);
-  Engine eng = Engine::compile(*model, 6, mc.in_channels, kHw, kHw);
-  Tensor out4 = eng.run(x);
+  ExecContext ctx(Plan::compile(*model, 6, mc.in_channels, kHw, kHw));
+  Tensor out4 = ctx.run(x);
   set_parallel_threads(1);
-  Tensor out1 = eng.run(x);
+  Tensor out1 = ctx.run(x);
   // A plan compiled under a different thread setting partitions the batch
   // differently but must still produce the same bits per element.
-  Engine eng1 = Engine::compile(*model, 6, mc.in_channels, kHw, kHw);
-  Tensor out1c = eng1.run(x);
+  ExecContext ctx1(Plan::compile(*model, 6, mc.in_channels, kHw, kHw));
+  Tensor out1c = ctx1.run(x);
   set_parallel_threads(0);
 
   for (size_t i = 0; i < out4.numel(); ++i) {
@@ -173,28 +177,28 @@ TEST(Engine, RepeatedRunsReuseArenaWithNoGrowth) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
 
-  const float* arena = eng.workspace_data();
-  const size_t floats = eng.workspace_floats();
+  const float* arena = ctx.workspace_data();
+  const size_t floats = ctx.workspace_floats();
   ASSERT_GT(floats, size_t{0});
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
-  Tensor first = eng.run(x);
+  Tensor first = ctx.run(x);
   for (int i = 0; i < 3; ++i) {
-    Tensor again = eng.run(x);
+    Tensor again = ctx.run(x);
     for (size_t j = 0; j < first.numel(); ++j)
       EXPECT_EQ(first.at(j), again.at(j));
-    EXPECT_EQ(eng.workspace_data(), arena);
-    EXPECT_EQ(eng.workspace_floats(), floats);
+    EXPECT_EQ(ctx.workspace_data(), arena);
+    EXPECT_EQ(ctx.workspace_floats(), floats);
   }
 }
 
-TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
-  // The Plan/ExecContext split: two engines built from ONE compiled plan
-  // must (a) share the immutable plan object (same steps storage, no
-  // weight duplication), (b) own distinct arenas, and (c) produce the
-  // same bits as the engine that compiled it.
+TEST(Engine, SharedPlanAcrossContextsIsBitIdenticalAndNotDuplicated) {
+  // The Plan/ExecContext split: contexts built on ONE compiled plan must
+  // (a) share the immutable plan object (same steps storage, no weight
+  // duplication), (b) own distinct arenas, and (c) produce the same bits
+  // as each other.
   Rng rng(45);
   ModelConfig mc;
   mc.base_width = 8;
@@ -202,14 +206,15 @@ TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
 
-  Engine original = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
-  Engine alias_a(original.plan());
-  Engine alias_b(original.plan());
-  EXPECT_EQ(&alias_a.steps(), &original.steps());  // shared, not copied
-  EXPECT_EQ(alias_a.plan().get(), alias_b.plan().get());
+  auto plan = Plan::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext original(plan);
+  ExecContext alias_a(plan);
+  ExecContext alias_b(plan);
+  EXPECT_EQ(&alias_a.plan().steps(), &plan->steps());  // shared, not copied
+  EXPECT_EQ(alias_a.plan_ptr().get(), alias_b.plan_ptr().get());
   EXPECT_NE(alias_a.workspace_data(), alias_b.workspace_data());
   EXPECT_EQ(alias_a.workspace_floats(), alias_b.workspace_floats());
-  EXPECT_EQ(alias_a.workspace_floats(), original.plan()->workspace_floats());
+  EXPECT_EQ(alias_a.workspace_floats(), plan->workspace_floats());
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
   const Tensor want = original.run(x);
@@ -221,9 +226,10 @@ TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
   }
 }
 
-TEST(Engine, SharedPlanOutlivesTheCompilingEngine) {
-  // A served model's lifetime is the Plan's, not any one engine's: the
-  // compiling Engine may be destroyed while contexts on its plan live on.
+TEST(Engine, SharedPlanOutlivesTheFirstContext) {
+  // A served model's lifetime is the Plan's, not any one context's: the
+  // first context may be destroyed while other contexts on its plan live
+  // on.
   Rng rng(46);
   ModelConfig mc;
   mc.base_width = 8;
@@ -235,11 +241,10 @@ TEST(Engine, SharedPlanOutlivesTheCompilingEngine) {
   std::shared_ptr<const Plan> plan;
   Tensor want;
   {
-    Engine compiler_engine =
-        Engine::compile(*model, 2, mc.in_channels, kHw, kHw);
-    plan = compiler_engine.plan();
-    want = compiler_engine.run(x);
-  }  // compiling engine (and its context) destroyed here
+    ExecContext first(Plan::compile(*model, 2, mc.in_channels, kHw, kHw));
+    plan = first.plan_ptr();
+    want = first.run(x);
+  }  // first context destroyed here
   ExecContext ctx(plan);
   const Tensor got = ctx.run(x);
   for (size_t i = 0; i < want.numel(); ++i) EXPECT_EQ(want.at(i), got.at(i));
@@ -252,19 +257,19 @@ TEST(Engine, SmallerBatchesRunOnTheSamePlan) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
-  Engine eng = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 8, mc.in_channels, kHw, kHw));
 
   for (size_t n : {size_t{1}, size_t{3}, size_t{8}}) {
     Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
     const Tensor ref = model->forward(x, false);
-    EXPECT_LT(max_abs_diff(ref, eng.run(x)), kTol) << "batch " << n;
+    EXPECT_LT(max_abs_diff(ref, ctx.run(x)), kTol) << "batch " << n;
   }
   Tensor too_big = random_input({9, mc.in_channels, kHw, kHw}, rng);
-  EXPECT_THROW(eng.run(too_big), CheckError);
+  EXPECT_THROW(ctx.run(too_big), CheckError);
 }
 
 TEST(Engine, PartialBatchesBitIdenticalToExactlySizedPlan) {
-  // A partial batch on a big-batch plan (the BatchServer's steady state)
+  // A partial batch on a big-batch plan (a server's steady state)
   // must produce the same bits as a plan compiled exactly for that n —
   // including n == 1 and n == batch-1, where the compile-time chunk grid
   // of the two plans differs the most.
@@ -277,9 +282,9 @@ TEST(Engine, PartialBatchesBitIdenticalToExactlySizedPlan) {
 
   for (const int threads : {1, 4}) {
     set_parallel_threads(threads);
-    Engine big = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
+    ExecContext big(Plan::compile(*model, 8, mc.in_channels, kHw, kHw));
     for (const size_t n : {size_t{1}, size_t{7}, size_t{8}}) {
-      Engine exact = Engine::compile(*model, n, mc.in_channels, kHw, kHw);
+      ExecContext exact(Plan::compile(*model, n, mc.in_channels, kHw, kHw));
       Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
       const Tensor from_big = big.run(x);
       const Tensor from_exact = exact.run(x);
@@ -301,18 +306,19 @@ TEST(Engine, MisShapedOutputTensorFailsLoudly) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
+  const size_t classes = ctx.plan().classes();
   Tensor x = random_input({3, mc.in_channels, kHw, kHw}, rng);
 
-  Tensor wrong_rows({2, eng.classes()});
-  EXPECT_THROW(eng.run(x, wrong_rows), CheckError);
-  Tensor wrong_cols({3, eng.classes() + 1});
-  EXPECT_THROW(eng.run(x, wrong_cols), CheckError);
-  Tensor wrong_rank({3 * eng.classes()});
-  EXPECT_THROW(eng.run(x, wrong_rank), CheckError);
+  Tensor wrong_rows({2, classes});
+  EXPECT_THROW(ctx.run(x, wrong_rows), CheckError);
+  Tensor wrong_cols({3, classes + 1});
+  EXPECT_THROW(ctx.run(x, wrong_cols), CheckError);
+  Tensor wrong_rank({3 * classes});
+  EXPECT_THROW(ctx.run(x, wrong_rank), CheckError);
 
-  Tensor ok({3, eng.classes()});
-  EXPECT_NO_THROW(eng.run(x, ok));
+  Tensor ok({3, classes});
+  EXPECT_NO_THROW(ctx.run(x, ok));
 }
 
 TEST(Engine, BnFoldingMatchesUnfusedBn) {
@@ -359,12 +365,12 @@ TEST(Engine, MaxPoolAndScaleShiftStepsLower) {
 
   Tensor x = random_input({3, 3, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, false);
-  Engine eng = Engine::compile(*model, 3, 3, kHw, kHw);
-  Tensor out = eng.run(x);
+  auto plan = Plan::compile(*model, 3, 3, kHw, kHw);
+  Tensor out = ExecContext(plan).run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   bool has_scale_shift = false, has_maxpool = false;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan->steps()) {
     has_scale_shift |= st.kind == OpKind::kScaleShift;
     has_maxpool |= st.kind == OpKind::kMaxPool;
   }
@@ -389,10 +395,10 @@ TEST(Engine, PreActivationResidualBodyDoesNotFuseAcrossBlockInput) {
 
   Tensor x = random_input({2, 3, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = Engine::compile(*model, 2, 3, kHw, kHw);
-  // ref is [N, C, H, W]; the engine reports the final buffer as classes.
-  Tensor out({2, eng.classes()});
-  eng.run(x, out);
+  ExecContext ctx(Plan::compile(*model, 2, 3, kHw, kHw));
+  // ref is [N, C, H, W]; the plan reports the final buffer as classes.
+  Tensor out({2, ctx.plan().classes()});
+  ctx.run(x, out);
   float max_err = 0.0f;
   for (size_t i = 0; i < ref.numel(); ++i)
     max_err = std::max(max_err, std::abs(ref.at(i) - out.at(i)));
@@ -406,14 +412,14 @@ TEST(Engine, SingleChunkRunPerformsZeroHeapAllocations) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   set_parallel_threads(1);  // single-chunk partition at compile
-  Engine eng = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 8, mc.in_channels, kHw, kHw));
   Tensor x = random_input({8, mc.in_channels, kHw, kHw}, rng);
-  Tensor out({8, eng.classes()});
-  eng.run(x, out);  // warm
+  Tensor out({8, ctx.plan().classes()});
+  ctx.run(x, out);  // warm
 
   g_alloc_count.store(0);
   g_alloc_tracking.store(true);
-  eng.run(x, out);
+  ctx.run(x, out);
   g_alloc_tracking.store(false);
   set_parallel_threads(0);
   EXPECT_EQ(g_alloc_count.load(), size_t{0});
@@ -425,11 +431,11 @@ TEST(Engine, PlanStrNamesEveryStep) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 2, mc.in_channels, kHw, kHw);
-  const std::string plan = eng.plan_str();
-  EXPECT_NE(plan.find("conv1"), std::string::npos);
-  EXPECT_NE(plan.find("fc"), std::string::npos);
-  EXPECT_EQ(eng.steps().front().name.rfind("conv1", 0), size_t{0});
+  auto plan = Plan::compile(*model, 2, mc.in_channels, kHw, kHw);
+  const std::string text = plan->str();
+  EXPECT_NE(text.find("conv1"), std::string::npos);
+  EXPECT_NE(text.find("fc"), std::string::npos);
+  EXPECT_EQ(plan->steps().front().name.rfind("conv1", 0), size_t{0});
 }
 
 TEST(Engine, ExplicitBackendSelectionAtCompileTime) {
@@ -441,26 +447,25 @@ TEST(Engine, ExplicitBackendSelectionAtCompileTime) {
   warm_bn(*model, mc.in_channels, kHw, rng);
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
 
-  Engine scalar_eng =
-      Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                      {.backend = "scalar", .bits = 8, .name = ""});
-  EXPECT_STREQ(scalar_eng.backend_name(), "scalar");
-  EXPECT_FALSE(scalar_eng.quantized());
-  const Tensor ref = scalar_eng.run(x);
+  auto scalar_plan =
+      Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                    {.backend = "scalar", .bits = 8, .name = ""});
+  EXPECT_STREQ(scalar_plan->backend_name(), "scalar");
+  EXPECT_FALSE(scalar_plan->quantized());
+  const Tensor ref = ExecContext(scalar_plan).run(x);
 
   if (kernels::find_backend("simd") != nullptr) {
-    Engine simd_eng =
-        Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                        {.backend = "simd", .bits = 8, .name = ""});
-    EXPECT_STREQ(simd_eng.backend_name(), "simd");
-    const Tensor got = simd_eng.run(x);
+    auto simd_plan = Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                                   {.backend = "simd", .bits = 8, .name = ""});
+    EXPECT_STREQ(simd_plan->backend_name(), "simd");
+    const Tensor got = ExecContext(simd_plan).run(x);
     // Different float kernels, same math: agreement to a loose epsilon.
     EXPECT_LE(max_abs_diff(ref, got), 1e-3f);
   }
 
   EXPECT_THROW(
-      Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                      {.backend = "no-such-backend", .bits = 8, .name = ""}),
+      Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                    {.backend = "no-such-backend", .bits = 8, .name = ""}),
       CheckError);
 }
 
@@ -471,12 +476,12 @@ TEST(Engine, Int8PlanLowersConvAndLinearToQgemm) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 8, .name = ""});
-  EXPECT_TRUE(eng.quantized());
-  EXPECT_STREQ(eng.backend_name(), "int8");
+  auto plan = Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                            {.backend = "int8", .bits = 8, .name = ""});
+  EXPECT_TRUE(plan->quantized());
+  EXPECT_STREQ(plan->backend_name(), "int8");
   size_t quantized_steps = 0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan->steps()) {
     if (st.kind == OpKind::kConv || st.kind == OpKind::kLinear) {
       EXPECT_TRUE(st.quantized) << st.name;
       EXPECT_FALSE(st.shift_gemm) << st.name;  // im2col path only
@@ -495,7 +500,7 @@ TEST(Engine, Int8PlanLowersConvAndLinearToQgemm) {
     }
   }
   EXPECT_GE(quantized_steps, size_t{20});  // 19+ convs and the FC head
-  EXPECT_NE(eng.plan_str().find("qgemm-int8"), std::string::npos);
+  EXPECT_NE(plan->str().find("qgemm-int8"), std::string::npos);
 }
 
 TEST(Engine, Int8EngineAgreesWithFloatEngineOnTop1) {
@@ -508,15 +513,15 @@ TEST(Engine, Int8EngineAgreesWithFloatEngineOnTop1) {
   const size_t n = 32;
   Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
 
-  Engine fp = Engine::compile(*model, n, mc.in_channels, kHw, kHw);
-  Engine q8 = Engine::compile(*model, n, mc.in_channels, kHw, kHw,
-                              {.backend = "int8", .bits = 8, .name = ""});
-  const Tensor ref = fp.run(x);
-  const Tensor got = q8.run(x);
+  auto fp = Plan::compile(*model, n, mc.in_channels, kHw, kHw);
+  auto q8 = Plan::compile(*model, n, mc.in_channels, kHw, kHw,
+                          {.backend = "int8", .bits = 8, .name = ""});
+  const Tensor ref = ExecContext(fp).run(x);
+  const Tensor got = ExecContext(q8).run(x);
   size_t agree = 0;
   for (size_t i = 0; i < n; ++i) {
     size_t ra = 0, ga = 0;
-    for (size_t c = 1; c < fp.classes(); ++c) {
+    for (size_t c = 1; c < fp->classes(); ++c) {
       if (ref.at(i, c) > ref.at(i, ra)) ra = c;
       if (got.at(i, c) > got.at(i, ga)) ga = c;
     }
@@ -539,14 +544,14 @@ TEST(Engine, Int8EngineBitIdenticalAcrossThreadCounts) {
   Tensor x = random_input({6, mc.in_channels, kHw, kHw}, rng);
 
   set_parallel_threads(1);
-  Engine eng = Engine::compile(*model, 6, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 8, .name = ""});
-  const Tensor ref = eng.run(x);
+  ExecContext ctx(Plan::compile(*model, 6, mc.in_channels, kHw, kHw,
+                                {.backend = "int8", .bits = 8, .name = ""}));
+  const Tensor ref = ctx.run(x);
   for (const int threads : {2, 4}) {
     set_parallel_threads(threads);
     // The chunk grid (and thus every activation scale) is fixed at compile
     // time, so a plan compiled at 1 thread must reproduce exactly.
-    const Tensor got = eng.run(x);
+    const Tensor got = ctx.run(x);
     EXPECT_EQ(max_abs_diff(ref, got), 0.0f) << threads << " threads";
   }
   set_parallel_threads(0);
@@ -560,13 +565,13 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
-  Engine fp = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
-  const Tensor ref = fp.run(x);
+  const Tensor ref =
+      ExecContext(Plan::compile(*model, 4, mc.in_channels, kHw, kHw)).run(x);
   double err8 = 0.0, err4 = 0.0;
   for (const int bits : {8, 4}) {
-    Engine q = Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = bits, .name = ""});
-    const Tensor got = q.run(x);
+    auto q = Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                           {.backend = "int8", .bits = bits, .name = ""});
+    const Tensor got = ExecContext(q).run(x);
     double err = 0.0;
     for (size_t i = 0; i < ref.numel(); ++i) {
       const double d = static_cast<double>(ref.at(i)) - got.at(i);
@@ -576,9 +581,55 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
   }
   EXPECT_GT(err8, 0.0);   // a real integer datapath is not exact
   EXPECT_GT(err4, err8);  // and fewer bits hurt more (Table 3 direction)
-  EXPECT_THROW(Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 1, .name = ""}),
+  EXPECT_THROW(Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                             {.backend = "int8", .bits = 1, .name = ""}),
                CheckError);
+}
+
+TEST(Engine, FloatRowsBitIdenticalAcrossBatchPackingsAtPaperGeometry) {
+  // ExecContext's contract: a row's logits do not depend on which images
+  // share its batch. Checked at the paper's geometry because toy widths
+  // never reach the GEMM sizes where a size-based kernel switch could
+  // change the rounding of one batch size but not another (the classifier
+  // GEMM is m = batch, k = 64, n = 10 here).
+  constexpr size_t kPaperHw = 32, kPaperBatch = 32;
+  for (const bool alf_model : {false, true}) {
+    Rng rng(63);
+    ModelConfig mc;
+    mc.base_width = 16;
+    mc.in_hw = kPaperHw;
+    std::vector<AlfConv*> blocks;
+    auto model =
+        alf_model
+            ? build_resnet20(mc, rng, make_alf_conv_maker({}, &rng, &blocks))
+            : build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+    for (AlfConv* b : blocks)
+      for (size_t i = 0; i < b->mask().numel(); i += 3) b->mask().at(i) = 0.0f;
+    warm_bn(*model, mc.in_channels, kPaperHw, rng);
+    const Tensor x =
+        random_input({kPaperBatch, mc.in_channels, kPaperHw, kPaperHw}, rng);
+
+    for (const int threads : {1, 4}) {
+      set_parallel_threads(threads);
+      auto plan = Plan::compile(*model, kPaperBatch, mc.in_channels, kPaperHw,
+                                kPaperHw);
+      ExecContext ctx(plan);
+      const size_t img = plan->image_floats(), cls = plan->classes();
+      std::vector<float> alone(kPaperBatch * cls), packed(kPaperBatch * cls);
+      for (size_t i = 0; i < kPaperBatch; ++i)
+        ctx.run_rows(x.data() + i * img, 1, alone.data() + i * cls);
+      for (const size_t n : {size_t{7}, kPaperBatch}) {
+        ctx.run_rows(x.data(), n, packed.data());
+        for (size_t i = 0; i < n; ++i)
+          EXPECT_EQ(std::memcmp(packed.data() + i * cls,
+                                alone.data() + i * cls, cls * sizeof(float)),
+                    0)
+              << (alf_model ? "alf_resnet20" : "resnet20") << " threads "
+              << threads << " n " << n << " row " << i;
+      }
+    }
+    set_parallel_threads(0);
+  }
 }
 
 }  // namespace

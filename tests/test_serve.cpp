@@ -1,8 +1,10 @@
 // Serving-layer tests, the ThreadSanitizer CI target:
-//  - BatchServer: dynamic batching correctness (batched results
-//    bit-identical to direct per-request Engine::run), queue/CV behavior
-//    under concurrent producers, starvation bounds, drain-on-stop, loud
-//    rejection of malformed submissions, shed policies, deadlines.
+//  - OneModelServer: a ModelServer hosting one model on one worker, the
+//    single-model serving setup. Dynamic batching correctness (batched
+//    results bit-identical to direct per-request ExecContext::run),
+//    queue/CV behavior under concurrent producers, starvation bounds,
+//    drain-on-stop, loud rejection of malformed submissions, shed
+//    policies, deadlines.
 //  - ModelServer: multi-model bit-identity (float + int8 plans on one
 //    shared worker pool), weighted-share convergence under saturation,
 //    concurrent submits to different models, drain-on-stop across all
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,7 +31,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
-#include "serve/batch_server.hpp"
 #include "serve/model_server.hpp"
 
 namespace alf {
@@ -40,6 +42,7 @@ constexpr size_t kHw = 8;
 constexpr size_t kInC = 3;
 constexpr size_t kClasses = 5;
 constexpr size_t kBatch = 8;
+constexpr const char* kModel = "toy";
 
 /// Small conv net — big enough to exercise conv/BN-fold/linear steps,
 /// small enough that serve tests stay fast under TSan.
@@ -58,22 +61,35 @@ void warm_bn(Sequential& model, Rng& rng) {
   bench::warm_bn(model, kInC, kHw, rng, /*passes=*/3, /*batch=*/4);
 }
 
-Engine toy_engine(const Sequential& model) {
-  return Engine::compile(model, kBatch, kInC, kHw, kHw);
+std::shared_ptr<const Plan> toy_plan(const Sequential& model) {
+  return Plan::compile(model, kBatch, kInC, kHw, kHw);
 }
 
-TEST(BatchServer, BatchedResultsBitIdenticalToDirectEngineRun) {
+/// A started one-worker ModelServer hosting `plan` as kModel.
+std::unique_ptr<ModelServer> serve_one(std::shared_ptr<const Plan> plan,
+                                       ModelServer::ModelConfig mc = {},
+                                       bool start_paused = false) {
+  ModelServer::Config cfg;
+  cfg.workers = 1;
+  cfg.start_paused = start_paused;
+  auto server = std::make_unique<ModelServer>(cfg);
+  server->add_model(kModel, std::move(plan), mc);
+  server->start();
+  return server;
+}
+
+TEST(OneModelServer, BatchedResultsBitIdenticalToDirectRun) {
   Rng rng(51);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  // Two engines compiled from the same model produce identical plans; one
-  // serves, the other is the per-request reference.
-  Engine ref = toy_engine(*model);
+  // Two plans compiled from the same model are identical; one serves, the
+  // other is the per-request reference.
+  ExecContext ref(toy_plan(*model));
 
-  BatchServer::Config cfg;
-  cfg.start_paused = true;  // stage the whole backlog, then release it
-  cfg.max_wait_us = 1000;
-  BatchServer server(toy_engine(*model), cfg);
+  ModelServer::ModelConfig mc;
+  mc.max_wait_us = 1000;
+  // Start paused: stage the whole backlog, then release it.
+  auto server = serve_one(toy_plan(*model), mc, /*start_paused=*/true);
 
   // Prefix batching over a staged queue is deterministic: [3,2,1] = 6 (the
   // 8 does not fit), [8] full, [4,4] full, [2,1,1] = 4 on the tail tick.
@@ -82,10 +98,10 @@ TEST(BatchServer, BatchedResultsBitIdenticalToDirectEngineRun) {
   std::vector<std::future<Tensor>> futures;
   for (const size_t n : sizes) {
     inputs.push_back(random_input({n, kInC, kHw, kHw}, rng));
-    futures.push_back(server.submit(inputs.back()));
+    futures.push_back(server->submit(kModel, inputs.back()));
   }
-  EXPECT_EQ(server.pending(), sizes.size());
-  server.resume();
+  EXPECT_EQ(server->pending(kModel), sizes.size());
+  server->resume();
   for (size_t i = 0; i < sizes.size(); ++i) {
     Tensor got = futures[i].get();
     ASSERT_EQ(got.dim(0), sizes[i]);
@@ -94,7 +110,7 @@ TEST(BatchServer, BatchedResultsBitIdenticalToDirectEngineRun) {
     for (size_t j = 0; j < want.numel(); ++j)
       EXPECT_EQ(want.at(j), got.at(j)) << "request " << i << " elem " << j;
   }
-  const ServeStats st = server.stats();
+  const ServeStats st = server->stats(kModel);
   EXPECT_EQ(st.requests, sizes.size());
   EXPECT_EQ(st.images, size_t{26});
   EXPECT_EQ(st.batches, size_t{4});
@@ -103,13 +119,13 @@ TEST(BatchServer, BatchedResultsBitIdenticalToDirectEngineRun) {
   EXPECT_DOUBLE_EQ(st.avg_fill(), 26.0 / 4.0);
 }
 
-TEST(BatchServer, ConcurrentProducersAllServedCorrectly) {
+TEST(OneModelServer, ConcurrentProducersAllServedCorrectly) {
   Rng rng(52);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  Engine ref = toy_engine(*model);
-  set_parallel_threads(2);  // engine dispatch exercises the worker pool
-  BatchServer server(toy_engine(*model));
+  ExecContext ref(toy_plan(*model));
+  set_parallel_threads(2);  // batch dispatch exercises the worker pool
+  auto server = serve_one(toy_plan(*model));
 
   constexpr size_t kProducers = 4, kPerProducer = 20;
   struct Issued {
@@ -124,7 +140,7 @@ TEST(BatchServer, ConcurrentProducersAllServedCorrectly) {
       for (size_t i = 0; i < kPerProducer; ++i) {
         const size_t n = 1 + prng.uniform_index(4);
         Tensor x = random_input({n, kInC, kHw, kHw}, prng);
-        std::future<Tensor> fut = server.submit(x);
+        std::future<Tensor> fut = server->submit(kModel, x);
         issued[p].push_back(Issued{std::move(x), std::move(fut)});
       }
     });
@@ -139,257 +155,240 @@ TEST(BatchServer, ConcurrentProducersAllServedCorrectly) {
       for (size_t j = 0; j < want.numel(); ++j) EXPECT_EQ(want.at(j), got.at(j));
     }
   }
-  server.stop();
+  server->stop();
   set_parallel_threads(0);
-  const ServeStats st = server.stats();
+  const ServeStats st = server->stats(kModel);
   EXPECT_EQ(st.requests, kProducers * kPerProducer);
-  EXPECT_EQ(server.pending(), size_t{0});
+  EXPECT_EQ(server->pending(kModel), size_t{0});
   EXPECT_GE(st.batches, size_t{1});
   EXPECT_LE(st.batches, st.requests);
 }
 
-TEST(BatchServer, RuntimePauseHoldsTheBacklogUntilResume) {
+TEST(OneModelServer, RuntimePauseHoldsTheBacklogUntilResume) {
   // pause() on a live server (not just start_paused) must stop new batch
   // formation: requests stay queued — even one submitted just before the
   // pause, whose tick the dispatcher abandons — until resume().
   Rng rng(57);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer::Config cfg;
-  cfg.max_wait_us = 200000;  // 200ms: the open tick outlives the pause below
-  BatchServer server(toy_engine(*model), cfg);
+  ModelServer::ModelConfig mc;
+  mc.max_wait_us = 200000;  // 200ms: the open tick outlives the pause below
+  auto server = serve_one(toy_plan(*model), mc);
 
   std::vector<std::future<Tensor>> futures;
   // The first submission opens a tick that waits for batch-mates; pause()
   // lands inside that wait and must abandon the tick, not dispatch it.
-  futures.push_back(server.submit(random_input({1, kInC, kHw, kHw}, rng)));
-  server.pause();
+  futures.push_back(
+      server->submit(kModel, random_input({1, kInC, kHw, kHw}, rng)));
+  server->pause();
   for (int i = 0; i < 4; ++i)
-    futures.push_back(server.submit(random_input({1, kInC, kHw, kHw}, rng)));
+    futures.push_back(
+        server->submit(kModel, random_input({1, kInC, kHw, kHw}, rng)));
   // Sleep past the abandoned tick's deadline: nothing may have dispatched.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(server.pending(), size_t{5});
-  EXPECT_EQ(server.stats().batches, size_t{0});
-  server.resume();
+  EXPECT_EQ(server->pending(kModel), size_t{5});
+  EXPECT_EQ(server->stats(kModel).batches, size_t{0});
+  server->resume();
   for (auto& fut : futures) EXPECT_EQ(fut.get().dim(0), size_t{1});
-  EXPECT_EQ(server.pending(), size_t{0});
-  EXPECT_EQ(server.stats().images, size_t{5});
+  EXPECT_EQ(server->pending(kModel), size_t{0});
+  EXPECT_EQ(server->stats(kModel).images, size_t{5});
 }
 
-TEST(BatchServer, LoneRequestIsNotStarvedPastTheWaitBudget) {
+TEST(OneModelServer, LoneRequestIsNotStarvedPastTheWaitBudget) {
   Rng rng(53);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer::Config cfg;
-  cfg.max_wait_us = 500;
-  BatchServer server(toy_engine(*model), cfg);
+  ModelServer::ModelConfig mc;
+  mc.max_wait_us = 500;
+  auto server = serve_one(toy_plan(*model), mc);
 
   Tensor x = random_input({1, kInC, kHw, kHw}, rng);
-  std::future<Tensor> fut = server.submit(x);
+  std::future<Tensor> fut = server->submit(kModel, x);
   // Generous bound: the tick closes after max_wait_us, not a full batch.
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
   EXPECT_EQ(fut.get().dim(0), size_t{1});
-  EXPECT_EQ(server.stats().batches, size_t{1});
+  EXPECT_EQ(server->stats(kModel).batches, size_t{1});
 }
 
-TEST(BatchServer, StopDrainsEveryQueuedRequest) {
+TEST(OneModelServer, StopDrainsEveryQueuedRequest) {
   Rng rng(54);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer::Config cfg;
-  cfg.start_paused = true;
-  BatchServer server(toy_engine(*model), cfg);
+  auto server = serve_one(toy_plan(*model), {}, /*start_paused=*/true);
 
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < 10; ++i)
-    futures.push_back(server.submit(random_input({2, kInC, kHw, kHw}, rng)));
-  EXPECT_EQ(server.pending(), size_t{10});
-  server.stop();  // overrides the pause and drains before joining
-  EXPECT_EQ(server.pending(), size_t{0});
+    futures.push_back(
+        server->submit(kModel, random_input({2, kInC, kHw, kHw}, rng)));
+  EXPECT_EQ(server->pending(kModel), size_t{10});
+  server->stop();  // overrides the pause and drains before joining
+  EXPECT_EQ(server->pending(kModel), size_t{0});
   for (auto& fut : futures) {
     ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_EQ(fut.get().dim(0), size_t{2});
   }
-  EXPECT_EQ(server.stats().requests, size_t{10});
+  EXPECT_EQ(server->stats(kModel).requests, size_t{10});
 }
 
-TEST(BatchServer, CallbackOverloadDeliversLogits) {
+TEST(OneModelServer, CallbackOverloadDeliversLogits) {
   Rng rng(55);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer server(toy_engine(*model));
+  auto server = serve_one(toy_plan(*model));
 
   std::promise<Tensor> done;
   std::future<Tensor> fut = done.get_future();
-  server.submit(random_input({3, kInC, kHw, kHw}, rng),
-                [&done](Tensor&& logits) { done.set_value(std::move(logits)); });
+  server->submit(
+      kModel, random_input({3, kInC, kHw, kHw}, rng),
+      [&done](Tensor&& logits) { done.set_value(std::move(logits)); });
   Tensor got = fut.get();
   EXPECT_EQ(got.dim(0), size_t{3});
   EXPECT_EQ(got.dim(1), kClasses);
 }
 
-TEST(BatchServer, MalformedSubmissionsFailLoudly) {
+TEST(OneModelServer, MalformedSubmissionsFailLoudly) {
   Rng rng(56);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer server(toy_engine(*model));
+  auto server = serve_one(toy_plan(*model));
 
   // Oversized request, wrong channel count, wrong spatial size, wrong rank.
-  EXPECT_THROW(server.submit(Tensor({kBatch + 1, kInC, kHw, kHw})),
+  EXPECT_THROW(server->submit(kModel, Tensor({kBatch + 1, kInC, kHw, kHw})),
                CheckError);
-  EXPECT_THROW(server.submit(Tensor({1, kInC + 1, kHw, kHw})), CheckError);
-  EXPECT_THROW(server.submit(Tensor({1, kInC, kHw, kHw + 2})), CheckError);
-  EXPECT_THROW(server.submit(Tensor({kInC, kHw, kHw})), CheckError);
-  EXPECT_THROW(server.submit(Tensor({1, kInC, kHw, kHw}), nullptr),
+  EXPECT_THROW(server->submit(kModel, Tensor({1, kInC + 1, kHw, kHw})),
+               CheckError);
+  EXPECT_THROW(server->submit(kModel, Tensor({1, kInC, kHw, kHw + 2})),
+               CheckError);
+  EXPECT_THROW(server->submit(kModel, Tensor({kInC, kHw, kHw})), CheckError);
+  EXPECT_THROW(server->submit(kModel, Tensor({1, kInC, kHw, kHw}), nullptr),
                CheckError);
 
-  server.stop();
-  EXPECT_THROW(server.submit(Tensor({1, kInC, kHw, kHw})), CheckError);
+  server->stop();
+  EXPECT_THROW(server->submit(kModel, Tensor({1, kInC, kHw, kHw})),
+               CheckError);
   // stop() is idempotent.
-  server.stop();
+  server->stop();
 }
 
-TEST(BatchServer, AdmissionControlRejectsPastMaxQueue) {
+TEST(OneModelServer, AdmissionControlRejectsPastMaxQueue) {
   Rng rng(57);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  Engine ref = toy_engine(*model);
+  ExecContext ref(toy_plan(*model));
 
-  BatchServer::Config cfg;
-  cfg.start_paused = true;  // hold the backlog so the bound is hit exactly
-  cfg.max_queue = 3;
-  BatchServer server(toy_engine(*model), cfg);
+  ModelServer::ModelConfig mc;
+  mc.max_queue = 3;
+  // Start paused: hold the backlog so the bound is hit exactly.
+  auto server = serve_one(toy_plan(*model), mc, /*start_paused=*/true);
 
   std::vector<Tensor> inputs;
   std::vector<std::future<Tensor>> accepted;
-  for (size_t i = 0; i < cfg.max_queue; ++i) {
+  for (size_t i = 0; i < mc.max_queue; ++i) {
     inputs.push_back(random_input({1, kInC, kHw, kHw}, rng));
-    accepted.push_back(server.submit(inputs.back()));
+    accepted.push_back(server->submit(kModel, inputs.back()));
   }
-  EXPECT_EQ(server.pending(), cfg.max_queue);
+  EXPECT_EQ(server->pending(kModel), mc.max_queue);
 
   // The bound is on requests held, and the error is the typed overload
   // signal — not CheckError, which stays reserved for misuse.
   Tensor extra = random_input({1, kInC, kHw, kHw}, rng);
-  EXPECT_THROW(server.submit(extra), QueueFullError);
+  EXPECT_THROW(server->submit(kModel, extra), QueueFullError);
   try {
-    server.submit(extra);
+    server->submit(kModel, extra);
     FAIL() << "expected QueueFullError";
   } catch (const QueueFullError& e) {
     EXPECT_NE(std::string(e.what()).find("queue full"), std::string::npos);
   }
-  EXPECT_EQ(server.pending(), cfg.max_queue);  // rejects never enqueue
-  EXPECT_EQ(server.stats().rejected, size_t{2});
+  EXPECT_EQ(server->pending(kModel), mc.max_queue);  // rejects never enqueue
+  EXPECT_EQ(server->stats(kModel).rejected, size_t{2});
 
   // Draining the backlog reopens admission; every accepted request is
   // still served exactly (rejection sheds load, it never corrupts).
-  server.resume();
+  server->resume();
   for (size_t i = 0; i < accepted.size(); ++i) {
     Tensor got = accepted[i].get();
     const Tensor want = ref.run(inputs[i]);
     for (size_t j = 0; j < want.numel(); ++j) EXPECT_EQ(want.at(j), got.at(j));
   }
-  std::future<Tensor> reopened = server.submit(extra);
+  std::future<Tensor> reopened = server->submit(kModel, extra);
   const Tensor want = ref.run(extra);
   Tensor got = reopened.get();
   for (size_t j = 0; j < want.numel(); ++j) EXPECT_EQ(want.at(j), got.at(j));
-  const ServeStats st = server.stats();
-  EXPECT_EQ(st.requests, cfg.max_queue + 1);
+  const ServeStats st = server->stats(kModel);
+  EXPECT_EQ(st.requests, mc.max_queue + 1);
   EXPECT_EQ(st.rejected, size_t{2});
 }
 
-TEST(BatchServer, PlanConstructorAndLazyEngineAccessorShareOnePlan) {
-  // The facade can be built straight from a shared Plan (no transient
-  // ExecContext), and engine() materializes its view lazily on the same
-  // plan object — no recompilation anywhere.
-  Rng rng(62);
-  auto model = toy_model(rng);
-  warm_bn(*model, rng);
-  auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
-  Engine ref(plan);
-  BatchServer server(plan);
-  EXPECT_EQ(server.plan().get(), plan.get());
-  const Engine& view = server.engine();
-  EXPECT_EQ(view.plan().get(), plan.get());
-  EXPECT_EQ(&view, &server.engine());  // one lazy instance
-  EXPECT_EQ(view.batch(), kBatch);
-  Tensor x = random_input({2, kInC, kHw, kHw}, rng);
-  Tensor got = server.submit(x).get();
-  const Tensor want = ref.run(x);
-  for (size_t j = 0; j < want.numel(); ++j) EXPECT_EQ(want.at(j), got.at(j));
-}
-
-TEST(BatchServer, DropOldestShedsTheStaleHeadNotTheNewSubmit) {
+TEST(OneModelServer, DropOldestShedsTheStaleHeadNotTheNewSubmit) {
   Rng rng(59);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  Engine ref = toy_engine(*model);
+  ExecContext ref(toy_plan(*model));
 
-  BatchServer::Config cfg;
-  cfg.start_paused = true;  // hold the backlog so the bound is hit exactly
-  cfg.max_queue = 2;
-  cfg.shed = BatchServer::Config::ShedPolicy::kDropOldest;
-  BatchServer server(toy_engine(*model), cfg);
+  ModelServer::ModelConfig mc;
+  mc.max_queue = 2;
+  mc.shed = ShedPolicy::kDropOldest;
+  // Start paused: hold the backlog so the bound is hit exactly.
+  auto server = serve_one(toy_plan(*model), mc, /*start_paused=*/true);
 
   std::vector<Tensor> inputs;
   std::vector<std::future<Tensor>> futures;
   for (size_t i = 0; i < 3; ++i) {
     inputs.push_back(random_input({1, kInC, kHw, kHw}, rng));
-    futures.push_back(server.submit(inputs.back()));
+    futures.push_back(server->submit(kModel, inputs.back()));
   }
   // The third submit found the queue full: it was ADMITTED and the oldest
   // (request 0) was shed — its future completes with QueueFullError, the
   // typed overload signal, not CheckError.
-  EXPECT_EQ(server.pending(), size_t{2});
+  EXPECT_EQ(server->pending(kModel), size_t{2});
   EXPECT_THROW(futures[0].get(), QueueFullError);
-  ServeStats st = server.stats();
+  ServeStats st = server->stats(kModel);
   EXPECT_EQ(st.accepted, size_t{3});
   EXPECT_EQ(st.dropped_oldest, size_t{1});
   EXPECT_EQ(st.rejected, size_t{0});
 
   // The survivors still serve exactly.
-  server.resume();
+  server->resume();
   for (size_t i = 1; i < 3; ++i) {
     Tensor got = futures[i].get();
     const Tensor want = ref.run(inputs[i]);
     for (size_t j = 0; j < want.numel(); ++j) EXPECT_EQ(want.at(j), got.at(j));
   }
-  server.stop();  // joins: the delivered bookkeeping is final
-  st = server.stats();
+  server->stop();  // joins: the delivered bookkeeping is final
+  st = server->stats(kModel);
   EXPECT_EQ(st.completed, size_t{2});
   EXPECT_EQ(st.accepted,
             st.completed + st.dropped_oldest + st.expired + st.queued +
                 st.in_flight);
 }
 
-TEST(BatchServer, ExpiredDeadlinesAreShedBeforeBatchFormation) {
+TEST(OneModelServer, ExpiredDeadlinesAreShedBeforeBatchFormation) {
   Rng rng(60);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer::Config cfg;
-  cfg.start_paused = true;  // the pause guarantees the deadline passes
-  BatchServer server(toy_engine(*model), cfg);
+  // Start paused: the pause guarantees the deadline passes.
+  auto server = serve_one(toy_plan(*model), {}, /*start_paused=*/true);
 
-  BatchServer::SubmitOptions slo;
+  ModelServer::SubmitOptions slo;
   slo.deadline_us = 1;  // expires while the server is paused
   std::future<Tensor> doomed =
-      server.submit(random_input({1, kInC, kHw, kHw}, rng), slo);
+      server->submit(kModel, random_input({1, kInC, kHw, kHw}, rng), slo);
   std::future<Tensor> unbounded =
-      server.submit(random_input({2, kInC, kHw, kHw}, rng));
-  BatchServer::SubmitOptions generous;
+      server->submit(kModel, random_input({2, kInC, kHw, kHw}, rng));
+  ModelServer::SubmitOptions generous;
   generous.deadline_us = 60'000'000;  // far future: must NOT be shed
   std::future<Tensor> within =
-      server.submit(random_input({1, kInC, kHw, kHw}, rng), generous);
+      server->submit(kModel, random_input({1, kInC, kHw, kHw}, rng), generous);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  server.resume();
+  server->resume();
 
   EXPECT_THROW(doomed.get(), DeadlineExpiredError);
   EXPECT_EQ(unbounded.get().dim(0), size_t{2});
   EXPECT_EQ(within.get().dim(0), size_t{1});
-  server.stop();  // joins: the delivered bookkeeping is final
-  const ServeStats st = server.stats();
+  server->stop();  // joins: the delivered bookkeeping is final
+  const ServeStats st = server->stats(kModel);
   EXPECT_EQ(st.expired, size_t{1});
   EXPECT_EQ(st.completed, size_t{2});
   // Expired requests never reach the engine.
@@ -399,14 +398,14 @@ TEST(BatchServer, ExpiredDeadlinesAreShedBeforeBatchFormation) {
                 st.in_flight);
 }
 
-TEST(BatchServer, StatsSnapshotConservesRequestsUnderConcurrentLoad) {
+TEST(OneModelServer, StatsSnapshotConservesRequestsUnderConcurrentLoad) {
   // stats() copies one struct under the queue mutex, so the conservation
   // identity must hold at EVERY instant — snapshot repeatedly while
   // producers and the dispatcher race.
   Rng rng(61);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
-  BatchServer server(toy_engine(*model));
+  auto server = serve_one(toy_plan(*model));
 
   std::atomic<bool> done{false};
   std::vector<std::thread> producers;
@@ -415,13 +414,13 @@ TEST(BatchServer, StatsSnapshotConservesRequestsUnderConcurrentLoad) {
     producers.emplace_back([&, p] {
       Rng prng(200 + p);
       for (size_t i = 0; i < 30; ++i)
-        futs[p].push_back(
-            server.submit(random_input({1 + prng.uniform_index(3), kInC,
-                                        kHw, kHw}, prng)));
+        futs[p].push_back(server->submit(
+            kModel,
+            random_input({1 + prng.uniform_index(3), kInC, kHw, kHw}, prng)));
     });
   }
   for (int snap = 0; snap < 200; ++snap) {
-    const ServeStats st = server.stats();
+    const ServeStats st = server->stats(kModel);
     ASSERT_EQ(st.accepted, st.completed + st.dropped_oldest + st.expired +
                                st.queued + st.in_flight)
         << "snapshot " << snap;
@@ -431,21 +430,37 @@ TEST(BatchServer, StatsSnapshotConservesRequestsUnderConcurrentLoad) {
   done = true;
   for (auto& per : futs)
     for (auto& f : per) f.get();
-  server.stop();
-  const ServeStats st = server.stats();
+  server->stop();
+  const ServeStats st = server->stats(kModel);
   EXPECT_EQ(st.accepted, size_t{90});
   EXPECT_EQ(st.completed, size_t{90});
   EXPECT_EQ(st.in_flight, size_t{0});
   EXPECT_EQ(st.queued, size_t{0});
 }
 
-// --- ModelServer: the multi-tenant layer the BatchServer facade sits on ---
+TEST(OneModelServer, UnboundedQueueByDefault) {
+  Rng rng(58);
+  auto model = toy_model(rng);
+  warm_bn(*model, rng);
+  auto server = serve_one(toy_plan(*model), {}, /*start_paused=*/true);
+  // Far past any batch multiple: nothing rejects with max_queue = 0.
+  std::vector<std::future<Tensor>> futs;
+  for (size_t i = 0; i < 4 * kBatch; ++i)
+    futs.push_back(
+        server->submit(kModel, random_input({1, kInC, kHw, kHw}, rng)));
+  EXPECT_EQ(server->pending(kModel), 4 * kBatch);
+  EXPECT_EQ(server->stats(kModel).rejected, size_t{0});
+  server->resume();
+  for (auto& f : futs) f.get();
+}
 
-TEST(ModelServer, MultiModelBitIdenticalToDirectEngineRunOnSharedPool) {
+// --- ModelServer: several models on one shared worker pool ----------------
+
+TEST(ModelServer, MultiModelBitIdenticalToDirectRunOnSharedPool) {
   // A float toy net and its int8 twin served concurrently from one
   // 2-worker pool must produce exactly the bits of a direct
-  // single-threaded Engine::run per model — the Plans are SHARED between
-  // the server's worker contexts and the reference engines.
+  // single-threaded ExecContext::run per model — the Plans are SHARED
+  // between the server's worker contexts and the reference contexts.
   Rng rng(70);
   auto model = toy_model(rng);
   warm_bn(*model, rng);
@@ -454,8 +469,8 @@ TEST(ModelServer, MultiModelBitIdenticalToDirectEngineRunOnSharedPool) {
                              {.backend = "int8", .bits = 8, .name = ""});
   ASSERT_FALSE(fplan->quantized());
   ASSERT_TRUE(qplan->quantized());
-  Engine fref(fplan);
-  Engine qref(qplan);
+  ExecContext fref(fplan);
+  ExecContext qref(qplan);
 
   ModelServer::Config cfg;
   cfg.workers = 2;
@@ -478,7 +493,7 @@ TEST(ModelServer, MultiModelBitIdenticalToDirectEngineRunOnSharedPool) {
   }
   for (Issued& rq : issued) {
     Tensor got = rq.fut.get();
-    Engine& ref = std::string(rq.model) == "toy_f32" ? fref : qref;
+    ExecContext& ref = std::string(rq.model) == "toy_f32" ? fref : qref;
     const Tensor want = ref.run(rq.x);
     ASSERT_TRUE(same_shape(want, got)) << rq.model;
     for (size_t j = 0; j < want.numel(); ++j)
@@ -496,8 +511,8 @@ TEST(ModelServer, ConcurrentSubmitsToDifferentModelsAllServed) {
   auto fplan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
   auto qplan = Plan::compile(*model, kBatch, kInC, kHw, kHw,
                              {.backend = "int8", .bits = 8, .name = ""});
-  Engine fref(fplan);
-  Engine qref(qplan);
+  ExecContext fref(fplan);
+  ExecContext qref(qplan);
 
   ModelServer::Config cfg;
   cfg.workers = 3;
@@ -713,23 +728,6 @@ TEST(ExecContext, ConcurrentContextsOnOneImmutablePlanAreRaceFree) {
   }
 }
 
-TEST(BatchServer, UnboundedQueueByDefault) {
-  Rng rng(58);
-  auto model = toy_model(rng);
-  warm_bn(*model, rng);
-  BatchServer::Config cfg;
-  cfg.start_paused = true;
-  BatchServer server(toy_engine(*model), cfg);
-  // Far past any batch multiple: nothing rejects with max_queue = 0.
-  std::vector<std::future<Tensor>> futs;
-  for (size_t i = 0; i < 4 * kBatch; ++i)
-    futs.push_back(server.submit(random_input({1, kInC, kHw, kHw}, rng)));
-  EXPECT_EQ(server.pending(), 4 * kBatch);
-  EXPECT_EQ(server.stats().rejected, size_t{0});
-  server.resume();
-  for (auto& f : futs) f.get();
-}
-
 // --- Arena-slot poisoning (src/core/asan.hpp, exec_context.cpp) ------------
 // Under ASan the engine poisons every arena slot between runs and re-kills
 // each slot the moment its last reader retires, so a kernel consuming a
@@ -749,9 +747,9 @@ TEST(ExecContext, ArenaIsPoisonedBetweenRunsExactlyWhenInstrumented) {
 
   Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
   const Tensor got = ctx.run(x);
-  // Poisoning must be invisible in the results: a second context (and the
-  // reference Engine path) agrees bit-for-bit.
-  Engine ref = toy_engine(*model);
+  // Poisoning must be invisible in the results: a second context on a
+  // separately compiled plan agrees bit-for-bit.
+  ExecContext ref(toy_plan(*model));
   const Tensor want = ref.run(x);
   for (size_t i = 0; i < want.numel(); ++i)
     ASSERT_EQ(got.at(i), want.at(i)) << i;
