@@ -19,45 +19,6 @@ namespace {
 // kMaxShiftH (the shifted-GEMM border-repair height bound) comes from
 // plan.hpp: one definition shared with the compiler and the blob stamp.
 
-/// One row of an image's im2col unfold: dst[oh*wo + ow] = the (c, kh, kw)
-/// tap of output position (oh, ow), zero where the tap lands in padding.
-/// Identical values to the matching row of im2col_view — the quantized
-/// conv path assembles rows one at a time (into an L2-resident staging
-/// buffer) instead of materializing the whole float unfold.
-void unfold_row_view(const float* src, const ConvGeom& g, size_t c, size_t kh,
-                     size_t kw, float* dst) {
-  const size_t ho = g.out_h(), wo = g.out_w();
-  const size_t hw = g.in_h * g.in_w;
-  const long base = static_cast<long>(kw) - static_cast<long>(g.pad);
-  size_t lo = 0;
-  if (base < 0) lo = (static_cast<size_t>(-base) + g.stride - 1) / g.stride;
-  size_t hi = 0;
-  const long top = static_cast<long>(g.in_w) - base;
-  if (top > 0)
-    hi = std::min(wo, (static_cast<size_t>(top) + g.stride - 1) / g.stride);
-  lo = std::min(lo, hi);
-  for (size_t oh = 0; oh < ho; ++oh) {
-    const long ih =
-        static_cast<long>(oh * g.stride + kh) - static_cast<long>(g.pad);
-    float* d = dst + oh * wo;
-    if (ih < 0 || ih >= static_cast<long>(g.in_h)) {
-      std::memset(d, 0, wo * sizeof(float));
-      continue;
-    }
-    const float* srow = src + c * hw + static_cast<size_t>(ih) * g.in_w;
-    if (lo > 0) std::memset(d, 0, lo * sizeof(float));
-    if (g.stride == 1) {
-      std::memcpy(d + lo, srow + (static_cast<long>(lo) + base),
-                  (hi - lo) * sizeof(float));
-    } else {
-      const float* s = srow + (static_cast<long>(lo * g.stride) + base);
-      for (size_t ow = lo; ow < hi; ++ow, s += g.stride) d[ow] = *s;
-    }
-    if (hi < wo) std::memset(d + hi, 0, (wo - hi) * sizeof(float));
-  }
-}
-
-
 /// Single-image shifted-GEMM convolution (stride 1, pad = (K-1)/2, output
 /// size == input size). For each kernel offset (kh, kw) the valid output
 /// range is a contiguous window of the flattened [H*W] plane, so the
@@ -166,7 +127,8 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
                            size_t n) {
   // The batch partition is frozen in the Plan (chunks()), so results are
   // bit-identical for any runtime thread count; each chunk owns one im2col
-  // + result scratch slice at the arena tail of THIS context.
+  // (float) or padded-plane (int8) slice plus a result slice of THIS
+  // context's scratch.
   const Plan& p = *plan_;
   const size_t nch = std::min(p.step_chunks(st), n);
   const size_t chunk = (n + nch - 1) / nch;
@@ -188,36 +150,32 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
           const size_t imgs = i1 - i0;
           const size_t cols = g.col_cols();
           const size_t ld = imgs * cols;
-          float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
           float* res =
               workspace_.data() + p.result_offset() + ci * p.result_floats();
           if (st.quantized) {
-            // Quantize the chunk's im2col matrix with one max-abs scale
-            // PER IMAGE (image j owns columns [j*cols, (j+1)*cols)); the
-            // scales depend only on image content, so the result is
-            // independent of both the thread count and the chunk grid.
-            // Then run the real int8 GEMM: int32 accumulate, float store.
-            const size_t rows = g.col_rows();
-            int8_t* qcol = qws_.data() + ci * p.col_floats();
-            float* bscales = qbs_.data() + ci * 2 * p.qbs_stride();
-            float* binv = bscales + p.qbs_stride();
-            const float levels =
-                static_cast<float>((1 << (st.qbits - 1)) - 1);
+            // Quantize each image ONCE, with one max-abs scale per image,
+            // into a zero-point-padded int8 copy of its planes; the qgemm
+            // then gathers its B panels straight from those planes. Every
+            // im2col entry is an input pixel or a padding zero, and
+            // rint(0 * inv) + zp == zp, so this is exactly the quantized
+            // im2col matrix without ever building it. The scales depend
+            // only on image content, so the result is independent of both
+            // the thread count and the chunk grid.
+            const size_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
+            const size_t plane = hp * wp, img_bytes = g.in_c * plane;
+            int8_t* planes = qws_.data() + ci * p.qws_chunk_bytes();
+            float* bscales = qbs_.data() + ci * p.qbs_stride();
+            const int32_t levels = (1 << (st.qbits - 1)) - 1;
             // Provably non-negative inputs (post-ReLU) take the asymmetric
             // grid: zero-point at the bottom of the range, twice the
             // resolution of the symmetric grid on [0, max].
-            const float span = st.in_nonneg ? 2.0f * levels : levels;
-            const float zp = st.in_nonneg ? -levels : 0.0f;
-            // Per-image dynamic range from the *input image*, not the col
-            // matrix: every col entry is an input pixel or a padding zero,
-            // so the image max always bounds the col max (it can exceed it
-            // only when stride > kernel skips pixels — still a valid, just
-            // coarser, grid). One contiguous scan of in_sz floats instead
-            // of K*K times that over the unfolded matrix; this scan was
-            // the hottest part of the int8 path. Knowing the scale before
-            // unfolding also lets each image quantize right after its own
-            // im2col, while the stripe is still cache-hot, instead of
-            // re-reading the whole chunk's col matrix in a second pass.
+            const float span = static_cast<float>(st.in_nonneg ? 2 * levels
+                                                               : levels);
+            const int32_t zp = st.in_nonneg ? -levels : 0;
+            // Per-image dynamic range from the input image: the image max
+            // bounds every im2col entry (it can exceed it only when
+            // stride > kernel skips pixels — still a valid, just coarser,
+            // grid).
             thread_local std::vector<float> imax;
             imax.resize(imgs);
             kernels::max_abs_col_blocks(in + i0 * st.in_sz, /*rows=*/1,
@@ -225,36 +183,34 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
                                         imax.data());
             for (size_t j = 0; j < imgs; ++j) {
               const float scale = imax[j] > 0.0f ? imax[j] / span : 1.0f;
-              for (size_t jj = j * cols; jj < (j + 1) * cols; ++jj) {
-                bscales[jj] = scale;
-                binv[jj] = 1.0f / scale;
-              }
+              const float inv = 1.0f / scale;
+              std::fill(bscales + j * cols, bscales + (j + 1) * cols, scale);
+              kernels::quantize_planes_i8(in + (i0 + j) * st.in_sz, g.in_c,
+                                          g.in_h, g.in_w, g.pad,
+                                          planes + j * img_bytes, inv, zp,
+                                          levels);
             }
-            // Assemble and quantize the unfold ROW-major through a staging
-            // buffer of one row (ld floats — L2-resident), instead of
-            // materializing the full float col matrix: the float taps are
-            // quantized while still in cache, so the only full-matrix
-            // traffic is the int8 write.
-            thread_local std::vector<float> rowbuf;
-            rowbuf.resize(ld);
-            size_t r = 0;
-            for (size_t ch = 0; ch < g.in_c; ++ch)
-              for (size_t kh = 0; kh < g.kernel; ++kh)
-                for (size_t kw = 0; kw < g.kernel; ++kw, ++r) {
-                  for (size_t j = 0; j < imgs; ++j)
-                    unfold_row_view(in + (i0 + j) * st.in_sz, g, ch, kh, kw,
-                                    rowbuf.data() + j * cols);
-                  kernels::quantize_cols_i8(rowbuf.data(), qcol + r * ld, ld,
-                                            binv, static_cast<int32_t>(zp),
-                                            static_cast<int32_t>(levels));
-                }
+            // The chunk slice carries kQgemmGatherSlack bytes past the
+            // last image (sized by the plan), so the kernels may load
+            // whole windows around any tap.
+            kernels::QgemmB src{.data = planes,
+                                .taps = g.kernel,
+                                .chan = plane,
+                                .row = wp,
+                                .stride = g.stride,
+                                .out_w = g.out_w(),
+                                .out_hw = cols,
+                                .image = img_bytes,
+                                .slack = kernels::kQgemmGatherSlack};
             kernels::QgemmParams params;
             params.a_scales = st.qw_scales.data();  // per-output-channel
             params.b_scales = bscales;              // per-image
-            params.b_zp = static_cast<int32_t>(zp);
-            st.be->qgemm(st.qw.data(), rows, qcol, ld, res, ld, st.out_c,
-                         rows, ld, params);
+            params.b_zp = zp;
+            st.be->qgemm_gather(st.qw.data(), g.col_rows(), src, res, ld,
+                                st.out_c, g.col_rows(), ld, params);
           } else {
+            float* col =
+                workspace_.data() + p.col_offset() + ci * p.col_floats();
             for (size_t j = 0; j < imgs; ++j)
               im2col_view(in + (i0 + j) * st.in_sz, g, col + j * cols, ld);
             kernels::gemm_dispatch(st.be, st.tile, st.w.data(), g.col_rows(),

@@ -2,7 +2,7 @@
 //
 // One ExecContext is everything a single in-flight batch needs that a Plan
 // deliberately does not own: the activation arena, the per-chunk im2col and
-// GEMM-result scratch, and (for quantized plans) the int8 activation and
+// GEMM-result scratch, and (for quantized plans) the padded int8 planes and
 // per-image scale scratch. Construction is cheap — a handful of vector
 // allocations sized by the Plan's layout, no weight copies — so a serving
 // worker pool hands one context per hosted plan to every worker and runs N
@@ -68,9 +68,10 @@ class ExecContext {
 
   std::shared_ptr<const Plan> plan_;
   std::vector<float> workspace_;
-  std::vector<int8_t> qws_;  ///< int8 activation scratch (quantized plans)
-  std::vector<float> qbs_;   ///< per-image scale/inverse scratch (2 slices
-                             ///< of Plan::qbs_stride() per chunk)
+  std::vector<int8_t> qws_;  ///< int8 padded-plane / linear-input scratch
+                             ///< (quantized plans)
+  std::vector<float> qbs_;   ///< per-column scale scratch (one slice of
+                             ///< Plan::qbs_stride() per chunk)
   /// ASan builds only (core/asan.hpp): index of the last step that reads
   /// or writes each arena slot (entry 0 = the external input, unused; the
   /// final step's output extends to steps().size() — the logit copy reads

@@ -757,9 +757,10 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   size_t max_col = 0, max_res = 0;
   for (const BuildStep& st : cc.steps) {
     if (st.kind != OpKind::kConv || st.shift_gemm) continue;
+    max_res = std::max(max_res, st.out_sz * eff_imgs(st));
+    if (st.quantized) continue;  // gathers from int8 planes instead
     max_col = std::max(
         max_col, st.geom.col_rows() * st.geom.col_cols() * eff_imgs(st));
-    max_res = std::max(max_res, st.out_sz * eff_imgs(st));
   }
   plan->col_sz_ = max_col;
   plan->res_sz_ = max_res;
@@ -767,21 +768,26 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   plan->res_off_ = plan->col_off_ + plan->nchunks_ * plan->col_sz_;
 
   // Quantized plans additionally size int8 activation scratch: per-chunk
-  // quantized-im2col slices (same geometry as the float col scratch) and,
-  // for linear steps, a whole-batch quantized-input region. Conv chunks
-  // and linear steps never overlap in time, so one buffer serves both.
-  // The qbs region carries the per-image column scales (and inverses)
-  // handed to the qgemm requantization.
+  // slices holding the zero-point-padded int8 planes of the chunk's images
+  // (plus the qgemm gather slack) and, for linear steps, a whole-batch
+  // quantized-input region over all slices. Conv chunks and linear steps
+  // never overlap in time, so one buffer serves both. The qbs region
+  // carries the per-column (per-image) scales handed to the qgemm
+  // requantization.
   if (quantize) {
-    size_t max_lin = 0;
-    for (const BuildStep& st : cc.steps)
+    size_t max_planes = 0, max_lin = 0;
+    size_t max_cols = batch;  // linear steps use one scale per batch row
+    for (const BuildStep& st : cc.steps) {
       if (st.kind == OpKind::kLinear)
         max_lin = std::max(max_lin, batch * st.in_features);
-    plan->qws_sz_ = std::max(plan->nchunks_ * plan->col_sz_, max_lin);
-    size_t max_cols = batch;  // linear steps use one scale per batch row
-    for (const BuildStep& st : cc.steps)
-      if (st.kind == OpKind::kConv && !st.shift_gemm)
+      if (st.kind == OpKind::kConv && !st.shift_gemm) {
+        max_planes = std::max(max_planes, qgemm_plane_bytes(st.geom) *
+                                              eff_imgs(st));
         max_cols = std::max(max_cols, st.geom.col_cols() * eff_imgs(st));
+      }
+    }
+    plan->qws_sz_ = std::max(max_planes + kernels::kQgemmGatherSlack,
+                             (max_lin + nchunks - 1) / nchunks);
     plan->qbs_sz_ = max_cols;
   }
 

@@ -57,6 +57,12 @@ struct KernelBackend;
 /// packed under a different bound must not load.
 constexpr size_t kMaxShiftH = 512;
 
+/// Bytes of one image's zero-point-padded int8 planes, the B source of a
+/// quantized conv: Ci * (H + 2 pad) * (W + 2 pad).
+inline size_t qgemm_plane_bytes(const ConvGeom& g) {
+  return g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
+}
+
 /// Alignment of every weight section inside the plan arena (cache-line,
 /// and a multiple of every element type the kernels read).
 constexpr size_t kWeightAlign = 64;
@@ -230,7 +236,11 @@ struct Step {
   /// quantized per run into context scratch with one max-abs scale PER
   /// IMAGE — the scales depend only on image content, never on the chunk
   /// grid, which is what keeps quantized runs bit-identical across thread
-  /// counts and batch packings.
+  /// counts and batch packings. A quantized conv quantizes each input
+  /// image once into zero-point-padded int8 planes and hands them to the
+  /// backend's qgemm_gather as a QgemmB source: the kernel gathers each
+  /// 16-column B panel of the im2col matrix straight from the planes, so
+  /// neither a float nor an int8 unfold is ever built.
   bool quantized = false;
   ConstSpan<int8_t> qw;
   ConstSpan<float> qw_scales;
@@ -343,12 +353,17 @@ class Plan {
   size_t step_chunks(const Step& st) const {
     return st.chunk != 0 ? std::min<size_t>(st.chunk, nchunks_) : nchunks_;
   }
-  /// int8 activation scratch bytes of one context (0 on float plans).
-  size_t qws_bytes() const { return qws_sz_; }
-  /// Per-image scale-slice stride of the qgemm scratch.
+  /// Bytes of one chunk's slice of the int8 activation scratch: the
+  /// zero-point-padded planes of the chunk's images plus the kernels'
+  /// gather slack (0 on float plans).
+  size_t qws_chunk_bytes() const { return qws_sz_; }
+  /// int8 activation scratch bytes of one context (0 on float plans); the
+  /// quantized linear head reuses it whole for its quantized input rows.
+  size_t qws_bytes() const { return nchunks_ * qws_sz_; }
+  /// Per-chunk stride of the per-column scale scratch.
   size_t qbs_stride() const { return qbs_sz_; }
-  /// Total per-image scale/inverse scratch floats (0 on float plans).
-  size_t qbs_floats() const { return quant_ ? nchunks_ * 2 * qbs_sz_ : 0; }
+  /// Total per-column scale scratch floats (0 on float plans).
+  size_t qbs_floats() const { return quant_ ? nchunks_ * qbs_sz_ : 0; }
 
   // --- Weight storage (what save/load serializes) ---------------------------
   /// The single arena holding every weight payload the steps view.
@@ -406,10 +421,11 @@ class Plan {
   size_t slot_stride_ = 0;  ///< floats per activation slot
   size_t col_off_ = 0;      ///< arena offset of the im2col scratch block
   size_t col_sz_ = 0;       ///< floats per per-chunk im2col scratch slice
+                            ///< (float im2col steps only)
   size_t res_off_ = 0;      ///< arena offset of the GEMM-result scratch
   size_t res_sz_ = 0;       ///< floats per per-chunk result scratch slice
   size_t nchunks_ = 0;      ///< fixed batch partition (determinism)
-  size_t qws_sz_ = 0;       ///< int8 activation scratch bytes (quantized)
+  size_t qws_sz_ = 0;       ///< int8 scratch bytes per chunk (quantized)
   size_t qbs_sz_ = 0;       ///< floats per scale slice (max GEMM columns)
 };
 

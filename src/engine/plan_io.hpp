@@ -84,7 +84,12 @@ constexpr char kMagic[8] = {'A', 'L', 'F', 'P', 'L', 'A', 'N', '\0'};
 // blocking, chunk override) so tuned plans replay their decisions on load
 // with zero re-tuning. v1 blobs are rejected (reject-don't-migrate; blobs
 // are cheap to regenerate with alf_planc).
-constexpr uint32_t kFormatVersion = 2;
+// v3: quantized plans size their int8 scratch for the one-pass conv
+// lowering — qws_sz is one chunk's padded-plane slice (plus gather slack),
+// qbs_sz one chunk's per-column scale slice, and col_sz covers float
+// im2col steps only. Same header struct, new meaning: v2 blobs are
+// rejected.
+constexpr uint32_t kFormatVersion = 3;
 /// Arena file offset alignment: one page, so the mmap'd arena base meets
 /// kArenaAlign without copying.
 constexpr uint64_t kBlobPageAlign = 4096;

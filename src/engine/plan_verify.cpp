@@ -163,11 +163,19 @@ void Plan::verify() const {
               (st.w9.rank() != 3 || st.w9.dim(0) != g.kernel * g.kernel ||
                st.w9.dim(1) != st.out_c || st.w9.dim(2) != g.in_c))
             fail(tag(i, st) + ": shift-GEMM weight pack has the wrong shape");
-        } else {
-          // Chunk-batched im2col: the whole-chunk unfold and GEMM result
-          // must fit the per-chunk scratch slices.
-          if (g.col_rows() * g.col_cols() * step_imgs(st) > col_sz_)
+        }
+        if (!st.shift_gemm) {
+          // Chunk-batched: the whole-chunk float unfold (int8 steps: the
+          // padded planes plus gather slack) and the GEMM result must fit
+          // the per-chunk scratch slices.
+          if (!st.quantized &&
+              g.col_rows() * g.col_cols() * step_imgs(st) > col_sz_)
             fail(tag(i, st) + ": im2col unfold overflows the col scratch");
+          if (st.quantized && qgemm_plane_bytes(g) * step_imgs(st) +
+                                      kernels::kQgemmGatherSlack >
+                                  qws_sz_)
+            fail(tag(i, st) +
+                 ": padded int8 planes overflow the int8 scratch");
           if (st.out_sz * step_imgs(st) > res_sz_)
             fail(tag(i, st) + ": GEMM result overflows the result scratch");
         }
@@ -288,10 +296,9 @@ void Plan::verify() const {
 
   // --- int8 scratch sizing ----------------------------------------------
   if (quant_) {
-    if (qws_sz_ < nchunks_ * col_sz_)
-      fail("int8 activation scratch smaller than the quantized unfold");
     for (const Step& st : steps_) {
-      if (st.kind == OpKind::kLinear && qws_sz_ < batch_ * st.in_features)
+      if (st.kind == OpKind::kLinear &&
+          nchunks_ * qws_sz_ < batch_ * st.in_features)
         fail("int8 activation scratch smaller than a linear input panel");
       if (st.kind == OpKind::kConv && !st.shift_gemm &&
           qbs_sz_ < st.geom.col_cols() * step_imgs(st))

@@ -161,7 +161,8 @@ std::string cpu_feature_names(uint32_t features) {
 
 void register_backend(const KernelBackend* backend) {
   ALF_CHECK(backend != nullptr && backend->name != nullptr &&
-            backend->gemm != nullptr && backend->qgemm != nullptr)
+            backend->gemm != nullptr && backend->qgemm != nullptr &&
+            (!backend->quantized_datapath || backend->qgemm_gather != nullptr))
       << "register_backend: incomplete backend";
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.m);

@@ -5,13 +5,19 @@
 // strategies all route their matrix products through one KernelBackend
 // chosen at startup (or, for a compiled model, once at Plan::compile time —
 // the Plan pins the backend pointer for its lifetime). A backend bundles
-// the two entry points the library needs:
+// the entry points the library needs:
 //
 //   gemm   — f32 C = alpha * op(A) * op(B) + beta * C over row-major views
 //            (the gemm_view shape: lda/ldb/ldc strides, trans flags).
 //   qgemm  — real int8 GEMM: pre-quantized A/B int8 panels with symmetric
 //            per-tensor scales and zero-points, int32 accumulation,
 //            requantized to float on store.
+//   qgemm_gather — the same GEMM with B read through a QgemmB source
+//            instead of a matrix: the engine's quantized convs hand it the
+//            zero-point-padded int8 planes of their images, and the kernel
+//            gathers each 16-column B panel straight from them (the im2col
+//            matrix is never materialized). The matrix qgemm is this entry
+//            over QgemmB::matrix, so each pack layout has one pack routine.
 //
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
@@ -28,7 +34,7 @@
 // Selection: set_default_backend("name") wins, else the ALF_BACKEND
 // environment variable, else the best available (simd when usable, scalar
 // otherwise). Adding an ISA or dtype is a one-file drop-in: implement the
-// two entry points and register_backend() it.
+// entry points and register_backend() it.
 //
 // Every backend must be deterministic: for a fixed backend the result is
 // bit-identical for any thread count (accumulation order per C element
@@ -97,6 +103,40 @@ void set_cpu_feature_mask(uint32_t mask);
 /// "avx2,fma,avxvnni"-style name list for a feature set (bench stamping).
 std::string cpu_feature_names(uint32_t features);
 
+/// B operand of a qgemm_gather call: a gather over a byte buffer instead
+/// of a materialized [K, N] matrix. Row kk and column j of B are
+///   B[kk][j] = data[row_off(kk) + col_off(j)],
+///   kk = (c * taps + kh) * taps + kw   ->  row_off = c * chan + kh * row + kw
+///   j  = img * out_hw + oh * out_w + ow ->  col_off = img * image +
+///                                            (oh * row + ow) * stride
+/// Two shapes cover every caller: a row-major matrix (QgemmB::matrix) and
+/// the im2col matrix of a conv over zero-point-padded int8 planes
+/// [images][C][Hp][Wp] (taps = kernel, chan = Hp * Wp, row = Wp, out_w /
+/// out_hw = the output map, image = C * Hp * Wp), whose padding taps read
+/// the planes' zero-point borders.
+struct QgemmB {
+  const int8_t* data = nullptr;
+  size_t taps = 1;    ///< kernel taps per side (1 for a matrix)
+  size_t chan = 0;    ///< bytes between channels (ldb for a matrix)
+  size_t row = 0;     ///< bytes between padded rows
+  size_t stride = 1;  ///< conv stride
+  size_t out_w = 0;   ///< columns per output row
+  size_t out_hw = 0;  ///< columns per image
+  size_t image = 0;   ///< bytes between images
+  /// Bytes past the last element of `data` that are readable (contents
+  /// ignored). With at least kQgemmGatherSlack, kernels may load whole
+  /// vector windows around the bytes a panel needs.
+  size_t slack = 0;
+
+  /// Row-major [K, n] matrix with leading dimension ldb.
+  static QgemmB matrix(const int8_t* b, size_t ldb, size_t n) {
+    return QgemmB{.data = b, .chan = ldb, .out_w = n, .out_hw = n};
+  }
+};
+
+/// Readable tail a QgemmB source needs for windowed gathers.
+constexpr size_t kQgemmGatherSlack = 32;
+
 /// Quantization metadata of one qgemm call. The in-tree scheme is
 /// symmetric (zero-points are 0); the zp fields exist so an asymmetric
 /// backend drops in without an interface change. Scales are per-tensor by
@@ -116,7 +156,7 @@ struct QgemmParams {
   const float* b_scales = nullptr;
 };
 
-/// One kernel backend: a named pair of GEMM entry points. Instances are
+/// One kernel backend: a named set of GEMM entry points. Instances are
 /// immutable statics with program lifetime; the registry stores pointers.
 struct KernelBackend {
   const char* name;
@@ -148,6 +188,12 @@ struct KernelBackend {
   void (*qgemm)(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p);
+
+  /// qgemm with B read through `b` (see QgemmB); same contract and the
+  /// same bits as qgemm over the materialized matrix.
+  void (*qgemm_gather)(const int8_t* a, size_t lda, const QgemmB& b,
+                       float* c, size_t ldc, size_t m, size_t k, size_t n,
+                       const QgemmParams& p);
 
   /// Optional tile-parametrized variant of `gemm` (same contract) with the
   /// cache blocking chosen per call; a zero TileParams field selects this
@@ -234,21 +280,23 @@ const KernelBackend* best_quantized_backend();
 // --- Quantization helpers --------------------------------------------------
 //
 // The engine's dynamic activation quantization is pure element-wise work
-// (scale, round, clamp, narrow) over the full im2col matrix of every
-// lowered step — at small M it rivals the GEMM itself, so it lives here
-// where a wide-ISA TU can serve it. Rounding is round-to-nearest-even
-// (rintf semantics — what float->int conversion hardware implements), and
-// the scalar fallback uses the identical expression, so results never
-// depend on which path ran.
+// (scale, round, clamp, narrow) over every input row of a lowered step, so
+// it lives here where a wide-ISA TU can serve it. Rounding is
+// round-to-nearest-even (rintf semantics — what float->int conversion
+// hardware implements), and the scalar fallback uses the identical
+// expression, so results never depend on which path ran.
 
 /// dst[i] = clamp(rint(src[i] * inv) + zp, -levels, levels) as int8.
 void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
                      int32_t zp, int32_t levels);
 
-/// Same with a per-element inverse scale (the conv path's per-image column
-/// blocks): dst[i] = clamp(rint(src[i] * inv[i]) + zp, -levels, levels).
-void quantize_cols_i8(const float* src, int8_t* dst, size_t n,
-                      const float* inv, int32_t zp, int32_t levels);
+/// Quantizes `planes` row-major [h, w] float planes with the
+/// quantize_row_i8 expression into zero-point-padded int8 planes
+/// [planes][h + 2 pad][w + 2 pad] (border bytes = zp): the B source of a
+/// quantized conv (see QgemmB).
+void quantize_planes_i8(const float* src, size_t planes, size_t h, size_t w,
+                        size_t pad, int8_t* dst, float inv, int32_t zp,
+                        int32_t levels);
 
 /// Per-column-block max-abs over a row-major [rows x ld] panel:
 /// out[j] = max |src[r*ld + j*block + c]| over r < rows, c < block.

@@ -13,7 +13,7 @@
 // engine's largest reduction (Ci*K*K of a wide conv) is orders of
 // magnitude below that.
 //
-// Its qgemm entry is a dispatcher: it resolves (once, cached) the fastest
+// Its qgemm entries are dispatchers: they resolve (once, cached) the fastest
 // quantized kernel the feature mask allows — int8-vnni, then int8-avx2,
 // then the simd TU's wide instantiation of the portable body, then the
 // baseline instantiation — all bit-identical, so the pick only moves
@@ -35,7 +35,7 @@ using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
                         bool, float*, size_t, size_t, size_t, size_t, float,
                         float);
 
-std::atomic<detail::QgemmFn> g_qgemm{nullptr};
+std::atomic<const KernelBackend*> g_qgemm{nullptr};
 std::atomic<GemmFn> g_float_gemm{nullptr};
 
 /// Same subset rule auto-selection uses in backend.cpp.
@@ -60,7 +60,13 @@ namespace detail {
 void qgemm_int8(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p) {
-  qgemm_int8_body(a, lda, b, ldb, c, ldc, m, k, n, p);
+  qgemm_int8_body(a, lda, QgemmB::matrix(b, ldb, n), c, ldc, m, k, n, p);
+}
+
+void qgemm_int8_gather(const int8_t* a, size_t lda, const QgemmB& b,
+                       float* c, size_t ldc, size_t m, size_t k, size_t n,
+                       const QgemmParams& p) {
+  qgemm_int8_body(a, lda, b, c, ldc, m, k, n, p);
 }
 
 void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
@@ -85,25 +91,33 @@ void reset_int8_dispatch_cache() {
 
 namespace {
 
-/// qgemm entry of the generic backend: resolve-once dispatch to the best
-/// allowed kernel. A race on first use just resolves the same value twice.
-void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                    float* c, size_t ldc, size_t m, size_t k, size_t n,
-                    const QgemmParams& p) {
-  detail::QgemmFn fn = g_qgemm.load(std::memory_order_acquire);
-  if (fn == nullptr) {
-    const KernelBackend* best = best_quantized_backend();
-    if (best != int8_backend()) {
-      fn = best->qgemm;
-    } else {
+/// The kernel the generic backend's qgemm entries forward to: resolved
+/// once, a race on first use just resolves the same value twice.
+const KernelBackend* qgemm_target() {
+  const KernelBackend* be = g_qgemm.load(std::memory_order_acquire);
+  if (be == nullptr) {
+    be = best_quantized_backend();
+    if (be == int8_backend()) {
       // No dot-product kernel allowed: the wide instantiation of the
       // portable body still beats baseline codegen when usable.
       const KernelBackend* simd = usable_simd();
-      fn = simd != nullptr ? simd->qgemm : &detail::qgemm_int8;
+      be = simd != nullptr ? simd : scalar_backend();
     }
-    g_qgemm.store(fn, std::memory_order_release);
+    g_qgemm.store(be, std::memory_order_release);
   }
-  fn(a, lda, b, ldb, c, ldc, m, k, n, p);
+  return be;
+}
+
+void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
+                    float* c, size_t ldc, size_t m, size_t k, size_t n,
+                    const QgemmParams& p) {
+  qgemm_target()->qgemm(a, lda, b, ldb, c, ldc, m, k, n, p);
+}
+
+void qgemm_gather_dispatch(const int8_t* a, size_t lda, const QgemmB& b,
+                           float* c, size_t ldc, size_t m, size_t k, size_t n,
+                           const QgemmParams& p) {
+  qgemm_target()->qgemm_gather(a, lda, b, c, ldc, m, k, n, p);
 }
 
 }  // namespace
@@ -112,7 +126,8 @@ const KernelBackend* int8_backend() {
   static const KernelBackend be{.name = "int8",
                                 .quantized_datapath = true,
                                 .gemm = &detail::gemm_forward_best_float,
-                                .qgemm = &qgemm_dispatch};
+                                .qgemm = &qgemm_dispatch,
+                                .qgemm_gather = &qgemm_gather_dispatch};
   return &be;
 }
 
@@ -131,13 +146,14 @@ void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
   }
 }
 
-void quantize_cols_i8_base(const float* src, int8_t* dst, size_t n,
-                           const float* inv, int32_t zp, int32_t levels) {
-  for (size_t i = 0; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv[i])) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
+void quantize_planes_i8_base(const float* src, size_t planes, size_t h,
+                             size_t w, size_t pad, int8_t* dst, float inv,
+                             int32_t zp, int32_t levels) {
+  detail::quantize_planes_body(src, planes, h, w, pad, dst,
+                               static_cast<int8_t>(zp),
+                               [&](const float* s, int8_t* d, size_t n) {
+                                 quantize_row_i8_base(s, d, n, inv, zp, levels);
+                               });
 }
 
 void max_abs_col_blocks_base(const float* src, size_t rows, size_t ld,
@@ -167,13 +183,14 @@ void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
   fn(src, dst, n, inv, zp, levels);
 }
 
-void quantize_cols_i8(const float* src, int8_t* dst, size_t n,
-                      const float* inv, int32_t zp, int32_t levels) {
-  static const detail::QuantizeColsFn fn =
-      detail::quantize_cols_i8_vec() != nullptr
-          ? detail::quantize_cols_i8_vec()
-          : &quantize_cols_i8_base;
-  fn(src, dst, n, inv, zp, levels);
+void quantize_planes_i8(const float* src, size_t planes, size_t h, size_t w,
+                        size_t pad, int8_t* dst, float inv, int32_t zp,
+                        int32_t levels) {
+  static const detail::QuantizePlanesFn fn =
+      detail::quantize_planes_i8_vec() != nullptr
+          ? detail::quantize_planes_i8_vec()
+          : &quantize_planes_i8_base;
+  fn(src, planes, h, w, pad, dst, inv, zp, levels);
 }
 
 void max_abs_col_blocks(const float* src, size_t rows, size_t ld, size_t block,

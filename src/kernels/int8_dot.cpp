@@ -10,12 +10,16 @@
 //               is folded into the zero-point decomposition by using
 //               azp_eff = a_zp + 128 against the unsigned row sums.
 //
-// Both kernels share one structure: B is packed once per call (serially,
-// by the calling thread) into kNr-column-interleaved panels whose k groups
-// match the instruction's step (int16 pairs / byte quads), then the row
-// range is partitioned exactly like every other backend (rows are the only
-// parallel axis) and each worker packs its own A rows into kMr-row panels
-// and sweeps all B panels with an 8-accumulator 4x16 register tile.
+// Both kernels share one structure (qgemm_panels): A is packed once per
+// call into kMr-row panels whose k groups match the instruction's step
+// (int16 pairs / byte quads), then B is walked in kNr-column panels, split
+// across the worker pool. Each panel is gathered straight from the QgemmB
+// source — one 16-byte load per row when its columns are consecutive
+// bytes, two pshufb-placed 32-byte windows per row for strided or
+// row-straddling conv panels, a k x 16 L1 stage otherwise — packed in the
+// kernel's layout while its columns are summed, and run against every A
+// row panel with an 8-accumulator 4x16 register tile while still in L1.
+// No B matrix, packed or not, ever exists whole.
 //
 // Bit-identity with the scalar oracle (qgemm_int8_body) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
@@ -55,12 +59,11 @@ namespace alf::kernels {
 namespace {
 
 constexpr size_t kMr = 4;   // register-tile rows
-constexpr size_t kNr = 16;  // register-tile columns (two ymm of int32)
+constexpr size_t kNr = detail::kPanelCols;  // tile columns (two ymm of int32)
+static_assert(kNr == 16, "the pack routines below move 16-column panels");
 /// Below this madd count the pack/correction overhead loses to the plain
 /// body; delegate there (bit-identical, so the cutoff is invisible).
 constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
-/// Same per-worker floor as the other backends (core/parallel chunking).
-constexpr size_t kMaddsPerWorker = size_t{1} << 16;
 
 inline int32_t load_i32(const void* p) {
   int32_t v = 0;
@@ -77,8 +80,8 @@ inline int32_t load_i32(const void* p) {
 /// encoding the kernel packed: signed for avx2, +128-shifted unsigned for
 /// vnni). `azp_eff` is the zero point in that same encoding and `rowsum`
 /// (nullable when bzp == 0) the per-row sums of a', indexed from the tile's
-/// first row. `colsum` (nullable when azp_eff == 0) has global column
-/// indices.
+/// first row. `colsum` (nullable when azp_eff == 0) holds the panel's
+/// column sums, indexed from the tile's first column.
 inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
                        size_t cols, size_t k, const int32_t* colsum,
                        const int32_t* rowsum, int32_t azp_eff, int32_t bzp,
@@ -95,10 +98,10 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
       const __m256i az = _mm256_set1_epi32(azp_eff);
       corr0 = _mm256_mullo_epi32(
           az, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(colsum + j0)));
+                  reinterpret_cast<const __m256i*>(colsum)));
       corr1 = _mm256_mullo_epi32(
           az, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(colsum + j0 + 8)));
+                  reinterpret_cast<const __m256i*>(colsum + 8)));
     }
     __m256 bs0 = _mm256_setzero_ps(), bs1 = _mm256_setzero_ps();
     if (p.b_scales != nullptr) {
@@ -143,7 +146,7 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
     const int32_t* arow = acc + r * kNr;
     for (size_t j = 0; j < cols; ++j) {
       int32_t v = arow[j] + row_corr;
-      if (azp_eff != 0) v -= azp_eff * colsum[j0 + j];
+      if (azp_eff != 0) v -= azp_eff * colsum[j];
       crow[j] = p.b_scales == nullptr
                     ? scale * static_cast<float>(v)
                     : sa * p.b_scales[j0 + j] * static_cast<float>(v);
@@ -151,17 +154,111 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
   }
 }
 
-/// Row partition shared by both drivers: identical gating to the other
-/// backends, so call sites see one consistent threading policy.
-template <typename F>
-void partition_rows(size_t m, size_t k, size_t n, const F& process_rows) {
-  const size_t madds_per_row = std::max<size_t>(1, k * n);
-  const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
-  if (in_parallel_region() || m <= min_rows || parallel_threads() <= 1) {
-    process_rows(0, m);
+// --- B panel sources -------------------------------------------------------
+//
+// A row source yields the panel's B rows in k order as 16-byte vectors
+// (next()); the pack routines below consume any of them, so each layout
+// has exactly one pack routine.
+
+/// Full panel whose columns are consecutive bytes: one load per row.
+struct DirectRows {
+  detail::RowWalk walk;
+  const int8_t* base;
+  __m128i next() {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(base + walk.next()));
+  }
+};
+
+/// Panel whose columns fall in at most two 32-byte windows of every row
+/// (stride-2 taps, output rows narrower than a panel): each window is
+/// loaded whole and its bytes are placed into their columns by pshufb.
+/// Reads up to 31 bytes past the last byte a row needs, so it is only
+/// used on sources with kQgemmGatherSlack readable tail bytes.
+struct WindowRows {
+  detail::RowWalk walk;
+  const int8_t* base;
+  size_t nwin = 0;
+  size_t woff[2] = {0, 0};
+  __m128i lo[2], hi[2];
+
+  /// Plans the windows for column offsets off[0, cols); false when the
+  /// columns need more than two.
+  bool plan(const size_t* off, size_t cols) {
+    alignas(16) int8_t ml[2][kNr], mh[2][kNr];
+    std::memset(ml, 0x80, sizeof ml);
+    std::memset(mh, 0x80, sizeof mh);
+    for (size_t c = 0; c < cols; ++c) {
+      if (nwin == 0 || off[c] - woff[nwin - 1] >= 32) {
+        if (nwin == 2) return false;
+        woff[nwin++] = off[c];
+      }
+      const size_t d = off[c] - woff[nwin - 1];
+      if (d < 16)
+        ml[nwin - 1][c] = static_cast<int8_t>(d);
+      else
+        mh[nwin - 1][c] = static_cast<int8_t>(d - 16);
+    }
+    for (size_t w = 0; w < 2; ++w) {
+      lo[w] = _mm_load_si128(reinterpret_cast<const __m128i*>(ml[w]));
+      hi[w] = _mm_load_si128(reinterpret_cast<const __m128i*>(mh[w]));
+    }
+    return true;
+  }
+
+  __m128i window(const int8_t* p, size_t w) const {
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
+    return _mm_or_si128(_mm_shuffle_epi8(a, lo[w]), _mm_shuffle_epi8(b, hi[w]));
+  }
+
+  __m128i next() {
+    const int8_t* row = base + walk.next();
+    __m128i v = window(row + woff[0], 0);
+    if (nwin == 2) v = _mm_or_si128(v, window(row + woff[1], 1));
+    return v;
+  }
+};
+
+/// Panel staged as k plain rows (detail::gather_rows).
+struct StageRows {
+  const int8_t* p;
+  __m128i next() {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    p += kNr;
+    return v;
+  }
+};
+
+/// Gathers panel [j0, j0 + cols) of `b` and hands the cheapest row source
+/// for it to `pack`. `stage` holds k * kNr bytes.
+template <typename Pack>
+void with_panel_rows(const QgemmB& b, size_t k, size_t j0, size_t cols,
+                     int8_t* stage, const Pack& pack) {
+  size_t off[kNr];
+  if (detail::panel_columns(b, j0, cols, off)) {
+    DirectRows rows{detail::RowWalk(b), b.data + off[0]};
+    pack(rows);
     return;
   }
-  parallel_for_chunked(0, m, process_rows, min_rows);
+  if (b.slack >= kQgemmGatherSlack) {
+    WindowRows rows{detail::RowWalk(b), b.data};
+    if (rows.plan(off, cols)) {
+      pack(rows);
+      return;
+    }
+  }
+  detail::gather_rows(b, k, off, cols, /*consecutive=*/false, stage,
+                      /*colsum=*/nullptr);
+  StageRows rows{stage};
+  pack(rows);
+}
+
+/// Rows k0 + 1.. of a k group, zero past k.
+template <typename Rows>
+inline __m128i next_or_zero(Rows& rows, size_t kk, size_t k) {
+  return kk < k ? rows.next() : _mm_setzero_si128();
 }
 
 // --- AVX2 vpmaddwd kernel --------------------------------------------------
@@ -207,170 +304,124 @@ void qgemm_micro_avx2(const int16_t* ap, const int16_t* bp, size_t kp,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 56), c31);
 }
 
-/// colsum[j] = sum over k of B[kk][j], vectorized 16 columns at a time
-/// with the accumulators held in registers across the whole k sweep.
-inline void colsum_s8(const int8_t* b, size_t ldb, size_t k, size_t n,
-                      int32_t* colsum) {
-  size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256i lo = _mm256_setzero_si256();
-    __m256i hi = _mm256_setzero_si256();
-    for (size_t kk = 0; kk < k; ++kk) {
-      const __m256i v16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + kk * ldb + j)));
-      lo = _mm256_add_epi32(
-          lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v16)));
-      hi = _mm256_add_epi32(
-          hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(v16, 1)));
+/// The int16-pair layout: A as [k/2][4 rows][2 k], B panels as
+/// [k/2][16 cols][2 k], both sign-extended (pad k positions are 0).
+struct PairLayout {
+  using AElem = int16_t;
+  using BElem = int16_t;
+  static constexpr size_t kStep = 2;
+  using Micro = void (*)(const int16_t*, const int16_t*, size_t, int32_t*);
+  static Micro micro() { return &qgemm_micro_avx2; }
+  static int32_t azp_eff(const QgemmParams& p) { return p.a_zp; }
+
+  /// Packs A rows [0, m) into row panels; rowsum (nullable) gets the
+  /// signed row sums.
+  static void pack_a(const int8_t* a, size_t lda, size_t m, size_t k,
+                     int16_t* dst, int32_t* rowsum) {
+    const size_t kp = (k + 1) / 2;
+    for (size_t i0 = 0; i0 < m; i0 += kMr) {
+      const size_t pr = std::min(kMr, m - i0);
+      for (size_t q = 0; q < kp; ++q, dst += 2 * kMr) {
+        const size_t k0 = 2 * q;
+        const size_t ks = std::min<size_t>(2, k - k0);
+        std::memset(dst, 0, 2 * kMr * sizeof(int16_t));
+        for (size_t r = 0; r < pr; ++r)
+          for (size_t s = 0; s < ks; ++s)
+            dst[r * 2 + s] = static_cast<int16_t>(a[(i0 + r) * lda + k0 + s]);
+      }
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + j), lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + j + 8), hi);
+    if (rowsum != nullptr) detail::row_sums(a, lda, m, k, 0, rowsum);
   }
-  for (; j < n; ++j) {
-    int32_t s = 0;
-    for (size_t kk = 0; kk < k; ++kk)
-      s += static_cast<int32_t>(b[kk * ldb + j]);
-    colsum[j] = s;
+
+  /// Packs one panel: sign-extend each row pair, interleave words, fix the
+  /// lane order (unpack interleaves per 128-bit lane); colsum (nullable)
+  /// gets the column sums from the packed pairs.
+  template <typename Rows>
+  static void pack_b(Rows& rows, size_t k, int16_t* dst, int32_t* colsum) {
+    const __m256i ones = _mm256_set1_epi16(1);
+    __m256i cs0 = _mm256_setzero_si256(), cs1 = _mm256_setzero_si256();
+    for (size_t k0 = 0; k0 < k; k0 += 2, dst += 2 * kNr) {
+      const __m256i a = _mm256_cvtepi8_epi16(rows.next());
+      const __m256i b = _mm256_cvtepi8_epi16(next_or_zero(rows, k0 + 1, k));
+      const __m256i lo = _mm256_unpacklo_epi16(a, b);
+      const __m256i hi = _mm256_unpackhi_epi16(a, b);
+      const __m256i v0 = _mm256_permute2x128_si256(lo, hi, 0x20);  // cols 0-7
+      const __m256i v1 = _mm256_permute2x128_si256(lo, hi, 0x31);  // 8-15
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16), v1);
+      cs0 = _mm256_add_epi32(cs0, _mm256_madd_epi16(v0, ones));
+      cs1 = _mm256_add_epi32(cs1, _mm256_madd_epi16(v1, ones));
+    }
+    if (colsum != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum), cs0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + 8), cs1);
+    }
   }
+};
+
+/// The shared panel loop of both dot-product kernels over layout L.
+template <typename L>
+void qgemm_panels(const int8_t* a, size_t lda, const QgemmB& b, float* c,
+                  size_t ldc, size_t m, size_t k, size_t n,
+                  const QgemmParams& p) {
+  if (m * k * n < kScalarCutoffMadds) {
+    detail::qgemm_int8_gather(a, lda, b, c, ldc, m, k, n, p);
+    return;
+  }
+  const typename L::Micro micro = L::micro();
+  const int32_t azp_eff = L::azp_eff(p);
+  const int32_t bzp = p.b_zp;
+  const size_t steps = (k + L::kStep - 1) / L::kStep;
+  const size_t a_panel = steps * L::kStep * kMr;
+  const size_t b_panel = steps * L::kStep * kNr;
+  // A is packed once by the calling thread and shared read-only by the
+  // panel workers (the caller blocks in parallel_for_chunked, so its
+  // thread_local buffers outlive every worker's use of them).
+  thread_local std::vector<typename L::AElem> apack_tls;
+  thread_local std::vector<int32_t> rowsum_tls;
+  apack_tls.resize((m + kMr - 1) / kMr * a_panel);
+  rowsum_tls.resize(m);
+  const typename L::AElem* const apack = apack_tls.data();
+  const int32_t* const rowsum = bzp != 0 ? rowsum_tls.data() : nullptr;
+  L::pack_a(a, lda, m, k, apack_tls.data(),
+            bzp != 0 ? rowsum_tls.data() : nullptr);
+
+  const auto process_panels = [&](size_t p0, size_t p1) {
+    thread_local std::vector<typename L::BElem> bpanel_tls;
+    thread_local std::vector<int8_t> stage_tls;
+    bpanel_tls.resize(b_panel);
+    stage_tls.resize(k * kNr);
+    typename L::BElem* const bpanel = bpanel_tls.data();
+    alignas(32) int32_t colsum[kNr];
+    alignas(32) int32_t acc[kMr * kNr];
+    for (size_t jp = p0; jp < p1; ++jp) {
+      const size_t j0 = jp * kNr;
+      const size_t cols = std::min(kNr, n - j0);
+      with_panel_rows(b, k, j0, cols, stage_tls.data(), [&](auto& rows) {
+        L::pack_b(rows, k, bpanel, azp_eff != 0 ? colsum : nullptr);
+      });
+      for (size_t i0 = 0; i0 < m; i0 += kMr) {
+        const size_t pr = std::min(kMr, m - i0);
+        micro(apack + i0 / kMr * a_panel, bpanel, steps, acc);
+        store_tile(acc, i0, pr, j0, cols, k, colsum,
+                   rowsum != nullptr ? rowsum + i0 : nullptr, azp_eff, bzp, p,
+                   c, ldc);
+      }
+    }
+  };
+  detail::partition_panels(m, k, (n + kNr - 1) / kNr, process_panels);
 }
 
-/// Packs one full 2-k x 16-col B tile into the [16 cols][2 k] int16 pair
-/// layout: sign-extend both rows, interleave words, then fix the lane
-/// order (unpack interleaves per 128-bit lane).
-inline void pack_b_pair16(const int8_t* r0, const int8_t* r1, int16_t* dst) {
-  const __m256i a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0)));
-  const __m256i b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1)));
-  const __m256i lo = _mm256_unpacklo_epi16(a, b);
-  const __m256i hi = _mm256_unpackhi_epi16(a, b);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                      _mm256_permute2x128_si256(lo, hi, 0x20));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16),
-                      _mm256_permute2x128_si256(lo, hi, 0x31));
-}
-
-/// Packs one full 4-k x 16-col B tile into the [16 cols][4 k] byte-quad
-/// layout — a 4x16 byte transpose in two unpack stages.
-inline void pack_b_quad16(const int8_t* r0, const int8_t* r1,
-                          const int8_t* r2, const int8_t* r3, int8_t* dst) {
-  const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0));
-  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1));
-  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2));
-  const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3));
-  const __m128i ab_lo = _mm_unpacklo_epi8(a, b);  // a0 b0 a1 b1 .. (cols 0-7)
-  const __m128i ab_hi = _mm_unpackhi_epi8(a, b);  // cols 8-15
-  const __m128i cd_lo = _mm_unpacklo_epi8(c, d);
-  const __m128i cd_hi = _mm_unpackhi_epi8(c, d);
-  __m128i* out = reinterpret_cast<__m128i*>(dst);
-  _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(ab_lo, cd_lo));  // cols 0-3
-  _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(ab_lo, cd_lo));  // cols 4-7
-  _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(ab_hi, cd_hi));  // cols 8-11
-  _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(ab_hi, cd_hi));  // 12-15
+void qgemm_avx2_gather(const int8_t* a, size_t lda, const QgemmB& b, float* c,
+                       size_t ldc, size_t m, size_t k, size_t n,
+                       const QgemmParams& p) {
+  qgemm_panels<PairLayout>(a, lda, b, c, ldc, m, k, n, p);
 }
 
 void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p) {
-  if (m * k * n < kScalarCutoffMadds) {
-    detail::qgemm_int8(a, lda, b, ldb, c, ldc, m, k, n, p);
-    return;
-  }
-  const int32_t azp = p.a_zp, bzp = p.b_zp;
-  const size_t kp = (k + 1) / 2;
-  const size_t npan = (n + kNr - 1) / kNr;
-  const size_t b_panel_words = kp * 2 * kNr;
-  // Pack op-ready B panels once, shared read-only across the row
-  // partition (the caller blocks in parallel_for_chunked, so the
-  // thread_local buffers outlive every worker's use of them).
-  thread_local std::vector<int16_t> bpack_tls;
-  thread_local std::vector<int32_t> colsum_tls;
-  bpack_tls.resize(npan * b_panel_words);
-  int16_t* const bpack = bpack_tls.data();
-  int32_t* colsum = nullptr;
-  if (azp != 0) {
-    colsum_tls.resize(n);
-    colsum = colsum_tls.data();
-    colsum_s8(b, ldb, k, n, colsum);
-  }
-  for (size_t jp = 0; jp < npan; ++jp) {
-    int16_t* panel = bpack + jp * b_panel_words;
-    const size_t j0 = jp * kNr;
-    const size_t cols = std::min(kNr, n - j0);
-    for (size_t q = 0; q < kp; ++q) {
-      const size_t k0 = 2 * q;
-      const size_t ks = std::min<size_t>(2, k - k0);
-      int16_t* dst = panel + q * (2 * kNr);
-      if (cols == kNr && ks == 2) {
-        // Full tile: vector transpose (16-byte loads stay in bounds —
-        // j0 + kNr <= n <= ldb).
-        const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_pair16(brow, brow + ldb, dst);
-        continue;
-      }
-      std::memset(dst, 0, 2 * kNr * sizeof(int16_t));
-      for (size_t s = 0; s < ks; ++s) {
-        const int8_t* brow = b + (k0 + s) * ldb + j0;
-        for (size_t cc = 0; cc < cols; ++cc)
-          dst[cc * 2 + s] = static_cast<int16_t>(brow[cc]);
-      }
-    }
-  }
-
-  const auto process_rows = [=](size_t r0, size_t r1) {
-    thread_local std::vector<int16_t> apack_tls;
-    thread_local std::vector<int32_t> rowsum_tls;
-    const size_t rows = r1 - r0;
-    const size_t rpan = (rows + kMr - 1) / kMr;
-    const size_t a_panel_words = kp * 2 * kMr;
-    apack_tls.resize(rpan * a_panel_words);
-    int16_t* const apack = apack_tls.data();
-    int32_t* rowsum = nullptr;
-    if (bzp != 0) {
-      rowsum_tls.resize(rows);
-      rowsum = rowsum_tls.data();
-    }
-    for (size_t rp = 0; rp < rpan; ++rp) {
-      int16_t* panel = apack + rp * a_panel_words;
-      const size_t i0 = r0 + rp * kMr;
-      const size_t pr = std::min(kMr, r1 - i0);
-      for (size_t q = 0; q < kp; ++q) {
-        const size_t k0 = 2 * q;
-        const size_t ks = std::min<size_t>(2, k - k0);
-        int16_t* dst = panel + q * (2 * kMr);
-        std::memset(dst, 0, 2 * kMr * sizeof(int16_t));
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda + k0;
-          for (size_t s = 0; s < ks; ++s)
-            dst[r * 2 + s] = static_cast<int16_t>(arow[s]);
-        }
-      }
-      if (rowsum != nullptr) {
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda;
-          int32_t s = 0;
-          for (size_t kk = 0; kk < k; ++kk)
-            s += static_cast<int32_t>(arow[kk]);
-          rowsum[i0 - r0 + r] = s;
-        }
-      }
-    }
-    alignas(32) int32_t acc[kMr * kNr];
-    for (size_t jp = 0; jp < npan; ++jp) {
-      const size_t j0 = jp * kNr;
-      const size_t cols = std::min(kNr, n - j0);
-      const int16_t* bpanel = bpack + jp * b_panel_words;
-      for (size_t rp = 0; rp < rpan; ++rp) {
-        const size_t i0 = r0 + rp * kMr;
-        const size_t pr = std::min(kMr, r1 - i0);
-        qgemm_micro_avx2(apack + rp * a_panel_words, bpanel, kp, acc);
-        store_tile(acc, i0, pr, j0, cols, k, colsum,
-                   rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp, bzp,
-                   p, c, ldc);
-      }
-    }
-  };
-  partition_rows(m, k, n, process_rows);
+  qgemm_avx2_gather(a, lda, QgemmB::matrix(b, ldb, n), c, ldc, m, k, n, p);
 }
 
 // --- Quantize helpers ------------------------------------------------------
@@ -398,8 +449,8 @@ inline __m256i quant_8(__m256 v, __m256 vinv, __m256i vzp, __m256i vlo,
   return _mm256_min_epi32(_mm256_max_epi32(q, vlo), vhi);
 }
 
-void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
-                          int32_t zp, int32_t levels) {
+inline void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n,
+                                 float inv, int32_t zp, int32_t levels) {
   const __m256 vinv = _mm256_set1_ps(inv);
   const __m256i vzp = _mm256_set1_epi32(zp);
   const __m256i vlo = _mm256_set1_epi32(-levels);
@@ -412,6 +463,16 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
         quant_8(_mm256_loadu_ps(src + i + 8), vinv, vzp, vlo, vhi);
     store_16xi8(a, b, dst + i);
   }
+  if (i + 8 <= n) {
+    // One half block (8-wide rows of the narrow maps).
+    const __m256i a = quant_8(_mm256_loadu_ps(src + i), vinv, vzp, vlo, vhi);
+    __m256i w = _mm256_packs_epi32(a, a);
+    w = _mm256_permute4x64_epi64(w, 0xD8);
+    const __m256i bytes = _mm256_packs_epi16(w, w);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_castsi256_si128(bytes));
+    i += 8;
+  }
   for (; i < n; ++i) {
     int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv)) + zp;
     v = std::min(levels, std::max(-levels, v));
@@ -419,24 +480,14 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
   }
 }
 
-void quantize_cols_i8_avx2(const float* src, int8_t* dst, size_t n,
-                           const float* inv, int32_t zp, int32_t levels) {
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  const __m256i vlo = _mm256_set1_epi32(-levels);
-  const __m256i vhi = _mm256_set1_epi32(levels);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i a = quant_8(_mm256_loadu_ps(src + i),
-                              _mm256_loadu_ps(inv + i), vzp, vlo, vhi);
-    const __m256i b = quant_8(_mm256_loadu_ps(src + i + 8),
-                              _mm256_loadu_ps(inv + i + 8), vzp, vlo, vhi);
-    store_16xi8(a, b, dst + i);
-  }
-  for (; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv[i])) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
+void quantize_planes_i8_avx2(const float* src, size_t planes, size_t h,
+                             size_t w, size_t pad, int8_t* dst, float inv,
+                             int32_t zp, int32_t levels) {
+  detail::quantize_planes_body(
+      src, planes, h, w, pad, dst, static_cast<int8_t>(zp),
+      [&](const float* s, int8_t* d, size_t n) {
+        quantize_row_i8_avx2(s, d, n, inv, zp, levels);
+      });
 }
 
 void max_abs_col_blocks_avx2(const float* src, size_t rows, size_t ld,
@@ -489,109 +540,86 @@ VnniMicroFn vnni_micro() {
   return fn;
 }
 
+/// The byte-quad layout: A as [k/4][4 rows][4 k] unsigned bytes (s8 + 128,
+/// a byte XOR 0x80), B panels as [k/4][16 cols][4 k] signed bytes. The A
+/// shift is folded into the zero-point decomposition by using
+/// azp_eff = a_zp + 128 against the unsigned row sums — never zero, so the
+/// column-sum correction is always on. Padding bytes are 0 on both sides,
+/// so padded k positions contribute 0 to every accumulator.
+struct QuadLayout {
+  using AElem = uint8_t;
+  using BElem = int8_t;
+  static constexpr size_t kStep = 4;
+  using Micro = VnniMicroFn;
+  static Micro micro() { return vnni_micro(); }
+  static int32_t azp_eff(const QgemmParams& p) { return p.a_zp + 128; }
+
+  /// Packs A rows [0, m) into row panels; rowsum (nullable) gets the row
+  /// sums of the *unsigned* packed rows: signed sum + 128k.
+  static void pack_a(const int8_t* a, size_t lda, size_t m, size_t k,
+                     uint8_t* dst, int32_t* rowsum) {
+    const size_t kq = (k + 3) / 4;
+    for (size_t i0 = 0; i0 < m; i0 += kMr) {
+      const size_t pr = std::min(kMr, m - i0);
+      for (size_t q = 0; q < kq; ++q, dst += 4 * kMr) {
+        const size_t k0 = 4 * q;
+        const size_t ks = std::min<size_t>(4, k - k0);
+        std::memset(dst, 0, 4 * kMr);
+        for (size_t r = 0; r < pr; ++r)
+          for (size_t s = 0; s < ks; ++s)
+            dst[r * 4 + s] = static_cast<uint8_t>(
+                static_cast<uint8_t>(a[(i0 + r) * lda + k0 + s]) ^ 0x80u);
+      }
+    }
+    if (rowsum != nullptr)
+      detail::row_sums(a, lda, m, k, 128 * static_cast<int32_t>(k), rowsum);
+  }
+
+  /// Packs one panel — a 4x16 byte transpose per quad in two unpack
+  /// stages — and sums its columns from the packed quads (u8 ones times
+  /// s8 bytes: pair sums fit int16 exactly, then widen to int32).
+  template <typename Rows>
+  static void pack_b(Rows& rows, size_t k, int8_t* dst, int32_t* colsum) {
+    const __m256i ones8 = _mm256_set1_epi8(1);
+    const __m256i ones16 = _mm256_set1_epi16(1);
+    __m256i cs0 = _mm256_setzero_si256(), cs1 = _mm256_setzero_si256();
+    for (size_t k0 = 0; k0 < k; k0 += 4, dst += 4 * kNr) {
+      const __m128i a = rows.next();
+      const __m128i b = next_or_zero(rows, k0 + 1, k);
+      const __m128i c = next_or_zero(rows, k0 + 2, k);
+      const __m128i d = next_or_zero(rows, k0 + 3, k);
+      const __m128i ab_lo = _mm_unpacklo_epi8(a, b);  // a0 b0 a1 b1 .. 0-7
+      const __m128i ab_hi = _mm_unpackhi_epi8(a, b);  // cols 8-15
+      const __m128i cd_lo = _mm_unpacklo_epi8(c, d);
+      const __m128i cd_hi = _mm_unpackhi_epi8(c, d);
+      const __m256i v0 = _mm256_set_m128i(_mm_unpackhi_epi16(ab_lo, cd_lo),
+                                          _mm_unpacklo_epi16(ab_lo, cd_lo));
+      const __m256i v1 = _mm256_set_m128i(_mm_unpackhi_epi16(ab_hi, cd_hi),
+                                          _mm_unpacklo_epi16(ab_hi, cd_hi));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v0);   // 0-7
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 32), v1);  // 8-15
+      cs0 = _mm256_add_epi32(
+          cs0, _mm256_madd_epi16(_mm256_maddubs_epi16(ones8, v0), ones16));
+      cs1 = _mm256_add_epi32(
+          cs1, _mm256_madd_epi16(_mm256_maddubs_epi16(ones8, v1), ones16));
+    }
+    if (colsum != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum), cs0);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + 8), cs1);
+    }
+  }
+};
+
+void qgemm_vnni_gather(const int8_t* a, size_t lda, const QgemmB& b, float* c,
+                       size_t ldc, size_t m, size_t k, size_t n,
+                       const QgemmParams& p) {
+  qgemm_panels<QuadLayout>(a, lda, b, c, ldc, m, k, n, p);
+}
+
 void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p) {
-  if (m * k * n < kScalarCutoffMadds) {
-    detail::qgemm_int8(a, lda, b, ldb, c, ldc, m, k, n, p);
-    return;
-  }
-  const VnniMicroFn micro = vnni_micro();
-  // A is packed unsigned (s8 + 128 == byte XOR 0x80), so the effective A
-  // zero point is a_zp + 128 — never zero, so the column-sum correction is
-  // always on. B stays signed; padding bytes are 0 on both sides, so
-  // padded k positions contribute 0 to every accumulator.
-  const int32_t azp_eff = p.a_zp + 128;
-  const int32_t bzp = p.b_zp;
-  const size_t kq = (k + 3) / 4;
-  const size_t npan = (n + kNr - 1) / kNr;
-  const size_t b_panel_bytes = kq * 4 * kNr;
-  thread_local std::vector<int8_t> bpack_tls;
-  thread_local std::vector<int32_t> colsum_tls;
-  bpack_tls.resize(npan * b_panel_bytes);
-  colsum_tls.resize(n);
-  int8_t* const bpack = bpack_tls.data();
-  int32_t* const colsum = colsum_tls.data();
-  colsum_s8(b, ldb, k, n, colsum);
-  for (size_t jp = 0; jp < npan; ++jp) {
-    int8_t* panel = bpack + jp * b_panel_bytes;
-    const size_t j0 = jp * kNr;
-    const size_t cols = std::min(kNr, n - j0);
-    for (size_t q = 0; q < kq; ++q) {
-      const size_t k0 = 4 * q;
-      const size_t ks = std::min<size_t>(4, k - k0);
-      int8_t* dst = panel + q * (4 * kNr);
-      if (cols == kNr && ks == 4) {
-        // Full tile: 4x16 byte transpose (16-byte loads stay in bounds —
-        // j0 + kNr <= n <= ldb).
-        const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_quad16(brow, brow + ldb, brow + 2 * ldb, brow + 3 * ldb, dst);
-        continue;
-      }
-      std::memset(dst, 0, 4 * kNr);
-      for (size_t s = 0; s < ks; ++s) {
-        const int8_t* brow = b + (k0 + s) * ldb + j0;
-        for (size_t cc = 0; cc < cols; ++cc) dst[cc * 4 + s] = brow[cc];
-      }
-    }
-  }
-
-  const auto process_rows = [=](size_t r0, size_t r1) {
-    thread_local std::vector<uint8_t> apack_tls;
-    thread_local std::vector<int32_t> rowsum_tls;
-    const size_t rows = r1 - r0;
-    const size_t rpan = (rows + kMr - 1) / kMr;
-    const size_t a_panel_bytes = kq * 4 * kMr;
-    apack_tls.resize(rpan * a_panel_bytes);
-    uint8_t* const apack = apack_tls.data();
-    int32_t* rowsum = nullptr;
-    if (bzp != 0) {
-      rowsum_tls.resize(rows);
-      rowsum = rowsum_tls.data();
-    }
-    for (size_t rp = 0; rp < rpan; ++rp) {
-      uint8_t* panel = apack + rp * a_panel_bytes;
-      const size_t i0 = r0 + rp * kMr;
-      const size_t pr = std::min(kMr, r1 - i0);
-      for (size_t q = 0; q < kq; ++q) {
-        const size_t k0 = 4 * q;
-        const size_t ks = std::min<size_t>(4, k - k0);
-        uint8_t* dst = panel + q * (4 * kMr);
-        std::memset(dst, 0, 4 * kMr);
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda + k0;
-          for (size_t s = 0; s < ks; ++s)
-            dst[r * 4 + s] =
-                static_cast<uint8_t>(static_cast<uint8_t>(arow[s]) ^ 0x80u);
-        }
-      }
-      if (rowsum != nullptr) {
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda;
-          int32_t s = 0;
-          for (size_t kk = 0; kk < k; ++kk)
-            s += static_cast<int32_t>(arow[kk]);
-          // Row sum of the *unsigned* packed row: signed sum + 128k.
-          rowsum[i0 - r0 + r] = s + 128 * static_cast<int32_t>(k);
-        }
-      }
-    }
-    alignas(32) int32_t acc[kMr * kNr];
-    for (size_t jp = 0; jp < npan; ++jp) {
-      const size_t j0 = jp * kNr;
-      const size_t cols = std::min(kNr, n - j0);
-      const int8_t* bpanel = bpack + jp * b_panel_bytes;
-      for (size_t rp = 0; rp < rpan; ++rp) {
-        const size_t i0 = r0 + rp * kMr;
-        const size_t pr = std::min(kMr, r1 - i0);
-        micro(apack + rp * a_panel_bytes, bpanel, kq, acc);
-        store_tile(acc, i0, pr, j0, cols, k, colsum,
-                   rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp_eff,
-                   bzp, p, c, ldc);
-      }
-    }
-  };
-  partition_rows(m, k, n, process_rows);
+  qgemm_vnni_gather(a, lda, QgemmB::matrix(b, ldb, n), c, ldc, m, k, n, p);
 }
 
 #endif  // ALF_INT8_VNNI
@@ -610,10 +638,10 @@ QuantizeRowFn quantize_row_i8_vec() {
   return nullptr;
 }
 
-QuantizeColsFn quantize_cols_i8_vec() {
+QuantizePlanesFn quantize_planes_i8_vec() {
 #if defined(ALF_INT8_DOT)
   if ((detected_cpu_features() & kCpuAvx2) != 0)
-    return &quantize_cols_i8_avx2;
+    return &quantize_planes_i8_avx2;
 #endif
   return nullptr;
 }
@@ -637,6 +665,7 @@ const KernelBackend* int8_avx2_backend() {
         .required_features = kCpuAvx2,
         .gemm = &detail::gemm_forward_best_float,
         .qgemm = &qgemm_avx2,
+        .qgemm_gather = &qgemm_avx2_gather,
     };
     return &be;
   }
@@ -656,6 +685,7 @@ const KernelBackend* int8_vnni_backend() {
                                  : static_cast<uint32_t>(kCpuAvx512Vnni),
         .gemm = &detail::gemm_forward_best_float,
         .qgemm = &qgemm_vnni,
+        .qgemm_gather = &qgemm_vnni_gather,
     };
     return &be;
   }

@@ -135,6 +135,7 @@ const KernelBackend* scalar_backend() {
   static const KernelBackend be{.name = "scalar",
                                 .gemm = &detail::gemm_scalar,
                                 .qgemm = &detail::qgemm_int8,
+                                .qgemm_gather = &detail::qgemm_int8_gather,
                                 .gemm_tiled = &gemm_scalar_tiled};
   return &be;
 }

@@ -273,7 +273,14 @@ void gemm_simd_tiled(const float* pa, size_t lda, bool trans_a,
 void qgemm_simd(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p) {
-  detail::qgemm_int8_body(a, lda, b, ldb, c, ldc, m, k, n, p);
+  detail::qgemm_int8_body(a, lda, QgemmB::matrix(b, ldb, n), c, ldc, m, k, n,
+                          p);
+}
+
+void qgemm_simd_gather(const int8_t* a, size_t lda, const QgemmB& b, float* c,
+                       size_t ldc, size_t m, size_t k, size_t n,
+                       const QgemmParams& p) {
+  detail::qgemm_int8_body(a, lda, b, c, ldc, m, k, n, p);
 }
 
 /// True when the host CPU can execute the ISA this file was compiled for.
@@ -295,6 +302,7 @@ const KernelBackend* simd_backend() {
 #endif
                                 .gemm = &gemm_simd,
                                 .qgemm = &qgemm_simd,
+                                .qgemm_gather = &qgemm_simd_gather,
                                 .gemm_tiled = &gemm_simd_tiled};
   return &be;
 }

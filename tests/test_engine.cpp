@@ -18,6 +18,7 @@
 #include "engine/plan.hpp"
 #include "grad_check.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/internal.hpp"
 #include "models/zoo.hpp"
 
 // Heap instrumentation for ExecContext::run's zero-allocation contract. The
@@ -412,17 +413,23 @@ TEST(Engine, SingleChunkRunPerformsZeroHeapAllocations) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   set_parallel_threads(1);  // single-chunk partition at compile
-  ExecContext ctx(Plan::compile(*model, 8, mc.in_channels, kHw, kHw));
-  Tensor x = random_input({8, mc.in_channels, kHw, kHw}, rng);
-  Tensor out({8, ctx.plan().classes()});
-  ctx.run(x, out);  // warm
+  // The float plan and the int8 plan (padded-plane quantization + gathered
+  // qgemm panels) keep the same run contract.
+  for (const char* backend : {"", "int8"}) {
+    EngineOptions opts;
+    opts.backend = backend;
+    ExecContext ctx(Plan::compile(*model, 8, mc.in_channels, kHw, kHw, opts));
+    Tensor x = random_input({8, mc.in_channels, kHw, kHw}, rng);
+    Tensor out({8, ctx.plan().classes()});
+    ctx.run(x, out);  // warm
 
-  g_alloc_count.store(0);
-  g_alloc_tracking.store(true);
-  ctx.run(x, out);
-  g_alloc_tracking.store(false);
+    g_alloc_count.store(0);
+    g_alloc_tracking.store(true);
+    ctx.run(x, out);
+    g_alloc_tracking.store(false);
+    EXPECT_EQ(g_alloc_count.load(), size_t{0}) << "backend '" << backend << "'";
+  }
   set_parallel_threads(0);
-  EXPECT_EQ(g_alloc_count.load(), size_t{0});
 }
 
 TEST(Engine, PlanStrNamesEveryStep) {
@@ -586,12 +593,14 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
                CheckError);
 }
 
-TEST(Engine, FloatRowsBitIdenticalAcrossBatchPackingsAtPaperGeometry) {
+TEST(Engine, RowsBitIdenticalAcrossBatchPackingsAtPaperGeometry) {
   // ExecContext's contract: a row's logits do not depend on which images
   // share its batch. Checked at the paper's geometry because toy widths
   // never reach the GEMM sizes where a size-based kernel switch could
   // change the rounding of one batch size but not another (the classifier
-  // GEMM is m = batch, k = 64, n = 10 here).
+  // GEMM is m = batch, k = 64, n = 10 here), for float and int8 plans (the
+  // int8 convs gather qgemm panels that straddle images at other batch
+  // sizes).
   constexpr size_t kPaperHw = 32, kPaperBatch = 32;
   for (const bool alf_model : {false, true}) {
     Rng rng(63);
@@ -609,27 +618,162 @@ TEST(Engine, FloatRowsBitIdenticalAcrossBatchPackingsAtPaperGeometry) {
     const Tensor x =
         random_input({kPaperBatch, mc.in_channels, kPaperHw, kPaperHw}, rng);
 
-    for (const int threads : {1, 4}) {
-      set_parallel_threads(threads);
-      auto plan = Plan::compile(*model, kPaperBatch, mc.in_channels, kPaperHw,
-                                kPaperHw);
-      ExecContext ctx(plan);
-      const size_t img = plan->image_floats(), cls = plan->classes();
-      std::vector<float> alone(kPaperBatch * cls), packed(kPaperBatch * cls);
-      for (size_t i = 0; i < kPaperBatch; ++i)
-        ctx.run_rows(x.data() + i * img, 1, alone.data() + i * cls);
-      for (const size_t n : {size_t{7}, kPaperBatch}) {
-        ctx.run_rows(x.data(), n, packed.data());
-        for (size_t i = 0; i < n; ++i)
-          EXPECT_EQ(std::memcmp(packed.data() + i * cls,
-                                alone.data() + i * cls, cls * sizeof(float)),
-                    0)
-              << (alf_model ? "alf_resnet20" : "resnet20") << " threads "
-              << threads << " n " << n << " row " << i;
+    for (const char* backend : {"", "int8"}) {
+      for (const int threads : {1, 4}) {
+        set_parallel_threads(threads);
+        EngineOptions opts;
+        opts.backend = backend;
+        auto plan = Plan::compile(*model, kPaperBatch, mc.in_channels,
+                                  kPaperHw, kPaperHw, opts);
+        ExecContext ctx(plan);
+        const size_t img = plan->image_floats(), cls = plan->classes();
+        std::vector<float> alone(kPaperBatch * cls), packed(kPaperBatch * cls);
+        for (size_t i = 0; i < kPaperBatch; ++i)
+          ctx.run_rows(x.data() + i * img, 1, alone.data() + i * cls);
+        for (const size_t n : {size_t{7}, kPaperBatch}) {
+          ctx.run_rows(x.data(), n, packed.data());
+          for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(std::memcmp(packed.data() + i * cls,
+                                  alone.data() + i * cls, cls * sizeof(float)),
+                      0)
+                << (alf_model ? "alf_resnet20" : "resnet20") << " backend '"
+                << plan->backend_name() << "' threads " << threads << " n "
+                << n << " row " << i;
+        }
       }
     }
     set_parallel_threads(0);
   }
+}
+
+/// The int8 conv lowering before it gathered qgemm panels from padded
+/// planes, rebuilt from public pieces: float im2col of every image, one
+/// max-abs scale per image quantizing its column block, the matrix qgemm
+/// oracle, the bias/act epilogue and the NCHW scatter. `x` is the step's
+/// input (n images).
+std::vector<float> reference_int8_conv(const Step& st, const float* x,
+                                       size_t n) {
+  const ConvGeom& g = st.geom;
+  const size_t rows = g.col_rows(), cols = g.col_cols(), ld = n * cols;
+  std::vector<float> col(rows * ld);
+  for (size_t j = 0; j < n; ++j)
+    im2col_view(x + j * st.in_sz, g, col.data() + j * cols, ld);
+  const int32_t levels = (1 << (st.qbits - 1)) - 1;
+  const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
+  const int32_t zp = st.in_nonneg ? -levels : 0;
+  std::vector<int8_t> q(rows * ld);
+  std::vector<float> bscales(ld);
+  for (size_t j = 0; j < n; ++j) {
+    float amax = 0.0f;
+    kernels::max_abs_col_blocks(x + j * st.in_sz, 1, 0, st.in_sz, 1, &amax);
+    const float scale = amax > 0.0f ? amax / span : 1.0f;
+    for (size_t r = 0; r < rows; ++r)
+      kernels::quantize_row_i8(col.data() + r * ld + j * cols,
+                               q.data() + r * ld + j * cols, cols,
+                               1.0f / scale, zp, levels);
+    std::fill(bscales.begin() + j * cols, bscales.begin() + (j + 1) * cols,
+              scale);
+  }
+  kernels::QgemmParams p;
+  p.a_scales = st.qw_scales.data();
+  p.b_scales = bscales.data();
+  p.b_zp = zp;
+  std::vector<float> res(st.out_c * ld);
+  kernels::detail::qgemm_int8(st.qw.data(), rows, q.data(), ld, res.data(), ld,
+                              st.out_c, rows, ld, p);
+  bias_act_inplace(res.data(), st.out_c, ld,
+                   st.bias.empty() ? nullptr : st.bias.data(), st.act);
+  std::vector<float> out(n * st.out_sz);
+  for (size_t j = 0; j < n; ++j)
+    for (size_t o = 0; o < st.out_c; ++o)
+      std::memcpy(out.data() + j * st.out_sz + o * cols,
+                  res.data() + o * ld + j * cols, cols * sizeof(float));
+  return out;
+}
+
+TEST(Engine, Int8ConvLoweringMatchesMaterializedUnfold) {
+  // Every quantized backend's one-pass conv lowering (padded int8 planes,
+  // B panels gathered by the kernel) against the materialized unfold:
+  // memcmp-equal over kernel/stride/pad/map shapes, odd channel counts,
+  // both activation grids, batch sizes and chunk grids. Under
+  // ALF_CPU_DISABLE the "int8" dispatcher resolves to each kernel in turn.
+  struct Map {
+    size_t h, w;
+  };
+  constexpr Map kMaps[] = {{1, 1}, {5, 7}, {8, 8}, {16, 16}, {32, 32}};
+  constexpr size_t kCi[] = {6, 11, 22, 3, 7};
+  constexpr size_t kCo[] = {11, 22, 6, 5, 9};
+  constexpr size_t kBatches[] = {1, 7, 32};
+  std::vector<std::string> backends;
+  for (const char* name : {"int8", "int8-avx2", "int8-vnni"})
+    if (kernels::find_backend(name) != nullptr) backends.push_back(name);
+  size_t idx = 0, cases = 0;
+  for (const Map& map : kMaps)
+    for (const size_t k : {1, 3, 5})
+      for (const size_t stride : {1, 2})
+        for (const size_t pad : {0, 1, 2}) {
+          if (map.h + 2 * pad < k || map.w + 2 * pad < k) continue;
+          ++idx;
+          const size_t ci = kCi[idx % 5], co = kCo[(idx / 5) % 5];
+          const bool nonneg = idx % 2 == 0;
+          const Act act = idx % 3 == 0 ? Act::kNone : Act::kRelu;
+          // Largest batch of the rotation whose reference unfold stays
+          // small; 32x32 maps run at batch 7 or 1.
+          ConvGeom g{.in_c = ci, .in_h = map.h, .in_w = map.w, .kernel = k,
+                     .stride = stride, .pad = pad};
+          size_t batch = 1;
+          for (size_t b = 0; b < 3; ++b) {
+            batch = kBatches[(idx + b) % 3];
+            if (g.col_rows() * g.col_cols() * batch <= (size_t{1} << 21)) break;
+          }
+          Rng rng(1000 + idx);
+          Sequential model;
+          if (nonneg) model.emplace<Activation>("relu0", Act::kRelu);
+          model.emplace<Conv2d>("conv", ci, co, k, stride, pad, Init::kHe, rng);
+          model.emplace<BatchNorm2d>("bn", co);
+          if (act == Act::kRelu) model.emplace<Activation>("relu", Act::kRelu);
+          model.forward(random_input({4, ci, map.h, map.w}, rng), true);
+          const Tensor x = random_input({batch, ci, map.h, map.w}, rng);
+          Tensor step_in = x;
+          if (nonneg)
+            for (size_t i = 0; i < step_in.numel(); ++i)
+              step_in.at(i) = std::max(step_in.at(i), 0.0f);
+          for (const std::string& backend : backends) {
+            for (const int threads : {1, 3}) {
+              set_parallel_threads(threads);
+              EngineOptions opts;
+              opts.backend = backend;
+              opts.tune = TuneMode::kHeuristic;
+              auto plan = Plan::compile(model, batch, ci, map.h, map.w, opts);
+              ExecContext ctx(plan);
+              const Tensor got = ctx.run(x);
+              const Step* st = nullptr;
+              for (const Step& s : plan->steps())
+                if (s.kind == OpKind::kConv) st = &s;
+              ASSERT_NE(st, nullptr);
+              ASSERT_EQ(st->in_nonneg, nonneg);
+              const std::vector<float> want =
+                  reference_int8_conv(*st, step_in.data(), batch);
+              ASSERT_EQ(got.numel(), want.size());
+              ++cases;
+              if (std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)) != 0) {
+                size_t first = 0;
+                while (got.at(first) == want[first]) ++first;
+                ADD_FAILURE()
+                    << "repro: backend=" << backend << " map=" << map.h << "x"
+                    << map.w << " k=" << k << " stride=" << stride
+                    << " pad=" << pad << " ci=" << ci << " co=" << co
+                    << " nonneg=" << nonneg << " batch=" << batch
+                    << " threads=" << threads << " chunks=" << plan->chunks()
+                    << " first diff at " << first << ": " << got.at(first)
+                    << " vs " << want[first];
+              }
+            }
+          }
+        }
+  set_parallel_threads(0);
+  EXPECT_GT(cases, size_t{150});
 }
 
 }  // namespace
