@@ -145,8 +145,8 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
                                  out + i * st.out_sz);
             continue;
           }
-          // Chunk-batched: unfold the chunk's images side by side, run one
-          // GEMM + fused epilogue, then scatter the channel rows to NCHW.
+          // Chunk-batched: one GEMM over all of the chunk's images side by
+          // side + fused epilogue, then scatter the channel rows to NCHW.
           const size_t imgs = i1 - i0;
           const size_t cols = g.col_cols();
           const size_t ld = imgs * cols;

@@ -167,7 +167,8 @@ inline void row_sums(const int8_t* a, size_t lda, size_t m, size_t k,
                      int32_t shift, int32_t* out) {
   for (size_t i = 0; i < m; ++i) {
     int32_t s = shift;
-    for (size_t kk = 0; kk < k; ++kk) s += static_cast<int32_t>(a[i * lda + kk]);
+    for (size_t kk = 0; kk < k; ++kk)
+      s += static_cast<int32_t>(a[i * lda + kk]);
     out[i] = s;
   }
 }
